@@ -331,12 +331,15 @@ def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="smaller streams / fewer reps (CI smoke)")
+                        help="smaller fields (CI smoke)")
     parser.add_argument("--out", default="BENCH_pr6.json")
     parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
-    reps = 2 if args.quick else 3
+    # three reps even in quick mode: `repro bench diff` treats rows with
+    # fewer (--min-reps) as sparse and doubles its threshold, which would
+    # let the CI drift gate pass a 30% slowdown
+    reps = 3
     n_symbols = 1_000_000
     side = 64 if args.quick else 128
 

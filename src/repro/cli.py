@@ -57,7 +57,6 @@ from .compress import ErrorBoundMode, get_compressor
 from .core import InferencePipeline, TolerancePlanner
 from .exceptions import ConfigurationError, ReproError
 from .io import DatasetStore, blob_from_bytes, blob_to_bytes
-from .nn.backend import resolve_backend_name
 from .obs import (
     RunRegistry,
     audit_capture,
@@ -145,21 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         "more than 5%% of wall time)",
     )
     parser.add_argument(
-        "--instrument-ops", action="store_true",
-        help="compile the fused backend's per-op timing variant: forward "
-        "passes report per-op wall time into the backend_op_seconds "
-        "histogram (fused backend only)",
-    )
-    parser.add_argument(
         "--log-level", choices=("debug", "info", "warning", "error"), default="info",
         help="minimum severity printed (default: info)",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="forward-pass execution backend: auto|reference|fused|numba "
-        "(default: env REPRO_BACKEND, else auto = fused; compiled "
-        "backends are bit-identical to reference and fall back to it "
-        "when hooks or unsupported modules appear)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -560,14 +546,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _instrument_flag(args) -> "bool | None":
-    """``--instrument-ops`` as the pipeline's ``instrument_ops`` value.
-
-    ``None`` when the flag is absent so the ``REPRO_INSTRUMENT_OPS``
-    environment default still applies."""
-    return True if getattr(args, "instrument_ops", False) else None
-
-
 def _samples_reshape(workload):
     """Field-to-sample mapping for a workload (None = pipeline default).
 
@@ -609,8 +587,7 @@ def _cmd_pipeline(args) -> int:
     planner = TolerancePlanner(workload.qoi_analyzer())
     plan = planner.plan(args.tolerance, norm=args.norm, quant_fraction=args.fraction)
     pipeline = InferencePipeline(
-        workload.qoi_model(), get_compressor(args.codec), plan,
-        backend=args.backend, instrument_ops=_instrument_flag(args),
+        workload.qoi_model(), get_compressor(args.codec), plan
     )
     reshape = _samples_reshape(workload)
     fields = workload.dataset.fields
@@ -705,8 +682,7 @@ def _distrib_pipeline(args):
     planner = TolerancePlanner(workload.qoi_analyzer())
     plan = planner.plan(args.tolerance, norm=args.norm, quant_fraction=args.fraction)
     pipeline = InferencePipeline(
-        workload.qoi_model(), get_compressor(args.codec), plan,
-        backend=args.backend, instrument_ops=_instrument_flag(args),
+        workload.qoi_model(), get_compressor(args.codec), plan
     )
     chunk_axis = 0 if workload.name == "eurosat" else 1
     return pipeline, workload.dataset.fields, _samples_reshape(workload), chunk_axis
@@ -983,8 +959,7 @@ def _cmd_audit_record(args) -> int:
             args.tolerance, norm=args.norm, quant_fraction=args.fraction
         )
     pipeline = InferencePipeline(
-        workload.qoi_model(), get_compressor(args.codec), plan,
-        backend=args.backend, instrument_ops=_instrument_flag(args),
+        workload.qoi_model(), get_compressor(args.codec), plan
     )
     with audit_capture(
         registry=args.registry,
@@ -1262,9 +1237,6 @@ def main(argv: list[str] | None = None) -> int:
         enable_profile(hz=args.profile_hz)
     try:
         try:
-            # validate eagerly so a typo fails before any work starts,
-            # with the same typed error the execution layers would raise
-            resolve_backend_name(args.backend)
             return _HANDLERS[args.command](args)
         except ReproError as exc:
             _LOG.error(f"error ({type(exc).__name__}): {exc}")

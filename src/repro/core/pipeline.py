@@ -35,7 +35,7 @@ from ..exceptions import (
 )
 from ..io.checkpoint import CheckpointJournal, digest_array, digest_model
 from ..io.serialization import blob_from_bytes, blob_to_bytes
-from ..nn.backend import CompiledForward, resolve_backend_name
+from ..nn.backend import CompiledForward
 from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
 from ..obs.audit import AuditRecord
@@ -145,22 +145,6 @@ class InferencePipeline:
     screen:
         Disable to skip NaN/Inf screening and contract checking
         (measurement-only runs on data known to be dirty).
-    backend:
-        Execution backend for the forward passes: ``"auto"`` (default,
-        resolves to ``"fused"``), ``"reference"``, ``"fused"`` or
-        ``"numba"``; ``None`` consults ``REPRO_BACKEND``.  Compiled
-        backends are bit-identical to the reference interpreter and fall
-        back to it transparently (audit hooks, unsupported modules,
-        off-envelope inputs), recording the reason in
-        ``result.extra["backend"]``.
-    instrument_ops:
-        Compile the fused backend's per-op timing variant (see
-        :class:`~repro.nn.backend.fused.InstrumentedFusedBackend`):
-        forward passes additionally report per-op wall time into the
-        ``backend_op_seconds`` histogram and
-        ``result.extra["backend"]["op_seconds"]``.  ``None`` (default)
-        consults ``REPRO_INSTRUMENT_OPS``; only meaningful on the fused
-        backend.
     """
 
     def __init__(
@@ -171,8 +155,6 @@ class InferencePipeline:
         on_corruption: "CorruptionPolicy | str" = CorruptionPolicy.RAISE,
         max_retries: int = 1,
         screen: bool = True,
-        backend: "str | None" = None,
-        instrument_ops: "bool | None" = None,
     ) -> None:
         self.model = model
         self.codec = codec
@@ -180,15 +162,9 @@ class InferencePipeline:
         self.on_corruption = resolve_policy(on_corruption)
         self.max_retries = int(max_retries)
         self.screen = screen
-        self.backend = resolve_backend_name(backend)
-        self.instrument_ops = instrument_ops
         self.quantized: QuantizedModel = quantize_model(model, plan.fmt)
-        self._forward_quant = CompiledForward(
-            self.quantized.model, self.backend, instrument=instrument_ops
-        )
-        self._forward_ref = CompiledForward(
-            self.model, self.backend, instrument=instrument_ops
-        )
+        self._forward_quant = CompiledForward(self.quantized.model)
+        self._forward_ref = CompiledForward(self.model)
         self._mode = self._select_mode()
         self._audit_recorder = None
         self._audit_lock = threading.Lock()
@@ -376,7 +352,6 @@ class InferencePipeline:
                 fmt=self.plan.fmt.name,
                 samples=int(len(samples)),
                 predicted_bound=float(self.plan.quant_bound),
-                backend=self.backend,
             ) as inference_span:
                 start = time.perf_counter()
                 outputs = self._forward_quant(samples)
@@ -439,15 +414,6 @@ class InferencePipeline:
                         slack=1e-9,
                     )
 
-            backend_info: dict = {"name": self.backend}
-            if self._forward_quant.last_fallback_reason is not None:
-                backend_info["fallback_quant"] = self._forward_quant.last_fallback_reason
-            if self._forward_ref.last_fallback_reason is not None:
-                backend_info["fallback_reference"] = self._forward_ref.last_fallback_reason
-            if self._forward_quant.last_op_seconds is not None:
-                backend_info["op_labels"] = list(self._forward_quant.op_labels or [])
-                backend_info["op_seconds"] = list(self._forward_quant.last_op_seconds)
-
             result = PipelineResult(
                 outputs=outputs,
                 reference_outputs=reference,
@@ -458,7 +424,7 @@ class InferencePipeline:
                 inference_seconds=inference_seconds,
                 input_error_linf=input_error_linf,
                 input_error_l2_max=input_error_l2_max,
-                extra={"integrity": integrity, "backend": backend_info},
+                extra={"integrity": integrity},
             )
             if prof_window is not None:
                 result.extra["profile"] = profiler.end_window(
@@ -850,8 +816,7 @@ class InferencePipeline:
             if n_workers <= 1:
                 return "serial"
             # BENCH_pr4 showed the GIL-bound thread pool yields no
-            # inference speedup, and it was removed as an executor in the
-            # backend-engine PR (the thread pool itself remains for
+            # inference speedup, so it is not an executor (it remains for
             # chunked I/O in repro.perf.parallel) — process if fork
             # exists, else serial.  "distributed" stays explicit.
             return "process" if fork_available() else "serial"

@@ -529,9 +529,14 @@ class ShardCoordinator:
                         f"unexpected {kind!r} from worker {worker!r}"
                     )
         except (ProtocolError, OSError) as exc:
-            _LOG.warning(
-                "worker connection lost", worker=worker, error=str(exc)
-            )
+            if self._closing:
+                # _shutdown closed this socket under the blocked recv:
+                # a drain, not a lost worker
+                _LOG.info("worker connection closed on shutdown", worker=worker)
+            else:
+                _LOG.warning(
+                    "worker connection lost", worker=worker, error=str(exc)
+                )
         finally:
             with self._lock:
                 self._conns.pop(conn_id, None)

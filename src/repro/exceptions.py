@@ -88,17 +88,6 @@ class ToleranceError(ReproError, ValueError):
     """A requested error tolerance is invalid or cannot be satisfied."""
 
 
-class LoweringError(ReproError):
-    """A model could not be lowered to a compiled backend's program.
-
-    Raised when the trace-and-lower linker meets a module it has no
-    primitive for (convolutions, batch norm, attention, ...).  Callers
-    that want execution rather than a diagnosis — the pipeline's
-    :class:`~repro.nn.backend.CompiledForward` — catch it and fall back
-    to the interpreted reference path, recording the reason.
-    """
-
-
 class QuantizationError(ReproError):
     """Weight or activation quantization failed."""
 

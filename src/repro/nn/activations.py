@@ -59,8 +59,9 @@ class ReLU(Activation):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return np.where(self._mask, grad_output, 0.0)
@@ -79,8 +80,9 @@ class LeakyReLU(Activation):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return np.where(self._mask, grad_output, self.negative_slope * grad_output)
@@ -103,7 +105,7 @@ class PReLU(Activation):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         slope = self.slope.data[0]
         return np.where(x > 0, x, slope * x)
 
@@ -127,8 +129,9 @@ class Tanh(Activation):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
+        y = np.tanh(x)
+        self._y = y if self.training else None
+        return y
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output * (1.0 - self._y**2)
@@ -146,8 +149,9 @@ class Sigmoid(Activation):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-x))
-        return self._y
+        y = 1.0 / (1.0 + np.exp(-x))
+        self._y = y if self.training else None
+        return y
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output * self._y * (1.0 - self._y)
@@ -175,7 +179,7 @@ class GELU(Activation):
         return np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         return 0.5 * x * (1.0 + np.tanh(self._inner(x)))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

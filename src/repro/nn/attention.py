@@ -44,7 +44,7 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std)
+        self._cache = (x_hat, inv_std) if self.training else None
         return self.gamma.data * x_hat + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ class MultiHeadSelfAttention(Module):
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.d_head)
         attn = softmax(scores, axis=-1)
         context = attn @ v
-        self._cache = (q, k, v, attn)
+        self._cache = (q, k, v, attn) if self.training else None
         return self.out(self._merge_heads(context))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

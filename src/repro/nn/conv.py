@@ -88,7 +88,7 @@ class Conv2d(Module):
             )
         kernel = (self.kernel_size, self.kernel_size)
         cols, (out_h, out_w) = im2col(x, kernel, self.stride, self.padding)
-        self._cols = cols
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
         out = cols @ self.matricized_weight().T
@@ -176,10 +176,10 @@ class SpectralConv2d(Conv2d):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         normalized, sigma = self._sigma_and_normalized()
-        self._cached = (normalized, sigma)
+        self._cached = (normalized, sigma) if self.training else None
         kernel = (self.kernel_size, self.kernel_size)
         cols, (out_h, out_w) = im2col(x, kernel, self.stride, self.padding)
-        self._cols = cols
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
         out = cols @ (normalized.T * self.alpha.data[0])

@@ -83,7 +83,7 @@ class Linear(Module):
             raise ShapeError(
                 f"Linear({self.in_features}->{self.out_features}) got input width {x.shape[-1]}"
             )
-        self._x = x
+        self._x = x if self.training else None
         out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
@@ -140,6 +140,8 @@ class SpectralLinear(Module):
         self._cached: tuple[np.ndarray, float] | None = None
         self._eval_key: tuple | None = None
         self._eval_cache: tuple[np.ndarray, float] | None = None
+        self._weight_key: tuple | None = None
+        self._eval_weight: np.ndarray | None = None
 
     # -- weight materialization ------------------------------------------
     def _sigma_and_normalized(self) -> tuple[np.ndarray, float]:
@@ -155,12 +157,26 @@ class SpectralLinear(Module):
         if self.training:
             sigma = max(self._power.step(self.raw_weight.data, n_steps=1), 1e-12)
             return self.raw_weight.data / sigma, sigma
-        key = (id(self.raw_weight.data), self.raw_weight.data.shape)
+        key = (id(self.raw_weight.data), self.raw_weight.version)
         if self._eval_key != key:
             sigma = max(spectral_norm(self.raw_weight.data), 1e-12)
             self._eval_cache = (self.raw_weight.data / sigma, sigma)
             self._eval_key = key
         return self._eval_cache
+
+    def _eval_matrix(self) -> np.ndarray:
+        """``normalized.T * alpha``, the matrix an eval forward multiplies by.
+
+        Cached like :meth:`_sigma_and_normalized`: assigning ``raw_weight``
+        or ``alpha`` (optimizer step, ``load_state_dict``) bumps a version
+        counter and forces a recompute.
+        """
+        normalized, __ = self._sigma_and_normalized()
+        key = (self._eval_key, id(self.alpha.data), self.alpha.version)
+        if self._weight_key != key:
+            self._eval_weight = normalized.T * self.alpha.data[0]
+            self._weight_key = key
+        return self._eval_weight
 
     def effective_weight(self) -> np.ndarray:
         """``alpha * V / sigma(V)`` with a converged sigma estimate."""
@@ -182,10 +198,13 @@ class SpectralLinear(Module):
                 f"SpectralLinear({self.in_features}->{self.out_features}) got input "
                 f"width {x.shape[-1]}"
             )
-        self._x = x
-        normalized, sigma = self._sigma_and_normalized()
-        self._cached = (normalized, sigma)
-        out = x @ (normalized.T * self.alpha.data[0])
+        if self.training:
+            self._x = x
+            self._cached = self._sigma_and_normalized()
+            out = x @ (self._cached[0].T * self.alpha.data[0])
+        else:
+            self._x = self._cached = None
+            out = x @ self._eval_matrix()
         if self.bias is not None:
             out = out + self.bias.data
         return out

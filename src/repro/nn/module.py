@@ -9,7 +9,10 @@ Every layer derives from :class:`Module` and implements ``forward`` and
 ``backward``.  ``backward`` receives the gradient of the loss with respect
 to the layer output and must (a) accumulate parameter gradients into
 ``Parameter.grad`` and (b) return the gradient with respect to the layer
-input, caching whatever it needs from the forward pass.
+input, caching whatever it needs from the forward pass.  Only
+training-mode forwards cache: after :meth:`Module.eval` a forward keeps
+no reference to its input or intermediates, so inference memory is the
+live activations alone, and ``backward`` needs a training-mode forward.
 """
 
 from __future__ import annotations

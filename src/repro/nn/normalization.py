@@ -65,7 +65,7 @@ class _BatchNormBase(Module):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - self._reshape(mean, x.ndim)) * self._reshape(inv_std, x.ndim)
-        self._cache = (x_hat, inv_std, axes)
+        self._cache = (x_hat, inv_std, axes) if self.training else None
         return self._reshape(self.gamma.data, x.ndim) * x_hat + self._reshape(
             self.beta.data, x.ndim
         )
@@ -76,8 +76,6 @@ class _BatchNormBase(Module):
         self.beta.grad += grad_output.sum(axis=axes)
         gamma = self._reshape(self.gamma.data, grad_output.ndim)
         grad_x_hat = grad_output * gamma
-        if not self.training:
-            return grad_x_hat * self._reshape(inv_std, grad_output.ndim)
         mean_g = grad_x_hat.mean(axis=axes, keepdims=True)
         mean_gx = (grad_x_hat * x_hat).mean(axis=axes, keepdims=True)
         return (grad_x_hat - mean_g - x_hat * mean_gx) * self._reshape(

@@ -37,10 +37,11 @@ class MaxPool2d(Module):
         cols, (out_h, out_w) = im2col(
             padded.reshape(n * c, 1, h + 2 * p, w + 2 * p), kernel, self.stride, 0
         )
-        self._argmax = np.argmax(cols, axis=1)
+        argmax = np.argmax(cols, axis=1)
+        self._argmax = argmax if self.training else None
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
-        out = cols[np.arange(cols.shape[0]), self._argmax]
+        out = cols[np.arange(cols.shape[0]), argmax]
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -14,11 +14,14 @@ Cost model, metered not promised:
 * **off** — zero: no sampler thread exists, ``tracemalloc`` is never
   started, and the hot-path hooks are one attribute lookup on the null
   singleton;
-* **on** — every sample's own walk time is measured and the inter-sample
-  sleep is stretched so the sampler's duty cycle never exceeds
-  ``max_overhead`` (default 5%): on a process with many threads or deep
-  stacks the profiler degrades its rate, never the workload.  The
-  measured fraction is exposed as :meth:`SamplingProfiler.overhead_fraction`.
+* **on** — every sample's own walk time is measured, as sampler-thread
+  CPU time less any garbage collection the sample happened to trigger
+  (waiting for the GIL and collecting other threads' garbage are not
+  sampling costs), and the sleep taken before each sample is stretched
+  so the sampler's duty cycle never exceeds ``max_overhead`` (default
+  5%): on a process with many threads or deep stacks the profiler
+  degrades its rate, never the workload.  The measured fraction is
+  exposed as :meth:`SamplingProfiler.overhead_fraction`.
 
 Exports: folded-stack text (``to_folded``) and speedscope JSON
 (``to_speedscope``) — drop the latter onto https://www.speedscope.app
@@ -29,6 +32,7 @@ pipeline stages through :func:`memory_snapshot` / :func:`memory_top_diff`.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -62,9 +66,8 @@ _MAX_STACK_DEPTH = 128
 
 
 def _frame_label(frame) -> str:
-    """``module:qualname`` for a frame; generated kernels keep their
-    synthetic filename (``<repro-fused-kernel>``) so backend frames stay
-    attributable in the flamegraph."""
+    """``module:qualname`` for a frame (the code's basename when the
+    frame has no module name)."""
     code = frame.f_code
     module = frame.f_globals.get("__name__") if frame.f_globals is not None else None
     if not module:
@@ -292,30 +295,51 @@ class SamplingProfiler:
     def _run(self) -> None:
         interval = 1.0 / self.hz
         own = threading.get_ident()
-        while not self._stop.is_set():
-            started = time.perf_counter()
-            try:
-                frames = sys._current_frames()
-                names = {t.ident: t.name for t in threading.enumerate()}
-                for ident, frame in frames.items():
-                    if ident == own:
-                        continue
-                    stack = _extract_stack(frame)
-                    if stack:
-                        self.stacks.add(names.get(ident, f"thread-{ident}"), stack)
-            except Exception:  # sampling must never take down the process
-                pass
-            cost = time.perf_counter() - started
-            self.stats["samples"] += 1
-            self.stats["sample_seconds"] += cost
-            # overhead governor: a sample that cost c may not be followed
-            # by less than c * (1/max_overhead - 1) of sleep
-            floor = cost * (1.0 / self.max_overhead - 1.0)
-            nap = interval - cost
-            if floor > nap:
-                nap = floor
-                self.stats["throttled"] += 1
-            self._stop.wait(max(nap, 0.0))
+        # [start of the running collection, total] in sampler CPU seconds
+        collecting = [0.0, 0.0]
+
+        def gc_clock(phase: str, info: dict) -> None:
+            # a collection that a sample's allocations happen to trigger is
+            # the deferred cost of every thread's garbage, not sampling
+            if threading.get_ident() == own:
+                if phase == "start":
+                    collecting[0] = time.thread_time()
+                else:
+                    collecting[1] += time.thread_time() - collecting[0]
+
+        gc.callbacks.append(gc_clock)
+        # sleep before each sample, not after: each sample is then paid
+        # for in advance (at the previous sample's cost), so the duty
+        # cycle holds whenever it is read, not only between samples
+        nap = interval
+        try:
+            while not self._stop.wait(nap):
+                started = time.thread_time()
+                collected = collecting[1]
+                try:
+                    frames = sys._current_frames()
+                    names = {t.ident: t.name for t in threading.enumerate()}
+                    for ident, frame in frames.items():
+                        if ident == own:
+                            continue
+                        stack = _extract_stack(frame)
+                        if stack:
+                            self.stacks.add(names.get(ident, f"thread-{ident}"), stack)
+                except Exception:  # sampling must never take down the process
+                    pass
+                cost = time.thread_time() - started - (collecting[1] - collected)
+                self.stats["samples"] += 1
+                self.stats["sample_seconds"] += cost
+                # overhead governor: a sample that cost c may not be followed
+                # by less than c * (1/max_overhead - 1) of sleep
+                floor = cost * (1.0 / self.max_overhead - 1.0)
+                nap = interval - cost
+                if floor > nap:
+                    nap = floor
+                    self.stats["throttled"] += 1
+                nap = max(nap, 0.0)
+        finally:
+            gc.callbacks.remove(gc_clock)
 
     # -- windows (per-execution deltas for result.extra["profile"]) ----
 

@@ -17,13 +17,6 @@ from .cache import (
     get_memo,
     registered_memos,
 )
-from .compile_cache import (
-    CompileCache,
-    get_compile_cache,
-    kernel_key,
-    reset_compile_cache,
-    structure_key,
-)
 from .execmodel import ExecutionModel, StageBreakdown, measure_inference_seconds
 from .hardware import GPU_PROFILES, MI250X, RTX3080TI, V100, GPUProfile, get_gpu
 from .iomodel import DEFAULT_CODEC_SPEEDS, CodecSpeed, IOModel
@@ -33,7 +26,6 @@ from .timer import Stopwatch, Timer
 __all__ = [
     "DEFAULT_CODEC_SPEEDS",
     "CodecSpeed",
-    "CompileCache",
     "ExecutionModel",
     "GPUProfile",
     "GPU_PROFILES",
@@ -50,14 +42,10 @@ __all__ = [
     "cached_average_step_size",
     "cached_spectral_norm",
     "clear_all_caches",
-    "get_compile_cache",
     "get_gpu",
     "get_memo",
-    "kernel_key",
     "measure_inference_seconds",
     "parallel_map",
     "registered_memos",
-    "reset_compile_cache",
     "resolve_workers",
-    "structure_key",
 ]

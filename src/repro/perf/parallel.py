@@ -77,11 +77,13 @@ def _collect_fail_fast(futures: list, label: str = "pool") -> list:
     ):
         return [future.result() for future in futures]
     cancelled = sum(future.cancel() for future in not_done)
-    wait(not_done)  # quiesce: in-flight tasks may still finish or fail
+    # count before quiescing: in-flight tasks may be waiting on a signal
+    # that follows this counter
     if cancelled:
         get_metrics().counter(
             "pool_tasks_cancelled_total", pool=label
         ).inc(cancelled)
+    wait(not_done)  # quiesce: in-flight tasks may still finish or fail
     failed = next(
         future
         for future in futures

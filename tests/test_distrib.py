@@ -394,6 +394,33 @@ def test_distributed_matches_serial(distrib_setup):
     assert result.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
 
 
+def _await_connection_threads(timeout: float = 10.0) -> None:
+    """Wait for coordinator connection threads, which log their exit
+    after the run that spawned them has returned."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and any(
+        thread.name == "distrib-conn" for thread in threading.enumerate()
+    ):
+        time.sleep(0.01)
+
+
+@needs_fork
+def test_clean_shutdown_is_not_a_lost_connection(distrib_setup, capsys):
+    """A clean loopback run's shutdown drain logs no lost worker."""
+    pipeline, fields, _, _, _ = distrib_setup
+    _await_connection_threads()
+    capsys.readouterr()  # drop what earlier runs' threads logged
+    result, summaries, errors = _run_distributed(
+        pipeline, fields, n_workers=2, expect_workers=2
+    )
+    assert errors == []
+    assert result.extra["distrib"]["outcome"] == "complete"
+    _await_connection_threads()
+    captured = capsys.readouterr()
+    assert captured.out.count("worker left") == 2
+    assert "worker connection lost" not in captured.out + captured.err
+
+
 @needs_fork
 def test_distributed_disconnect_chaos_reassigns(distrib_setup):
     """A partitioned worker reconnects; its lost lease is reassigned and

@@ -416,6 +416,35 @@ def test_attach_layer_timing_records_and_detaches(tiny_mlp, rng):
     assert handle.n_wrapped == 0
 
 
+def test_layer_timing_sees_default_pipeline_forwards(trained_spectral_mlp, rng):
+    """Layer timing observes the forwards a default pipeline runs: the
+    interpreter is the only forward path, so no layer goes unseen."""
+    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, n_input=5)
+    plan = TolerancePlanner(analyzer).plan(1e-2, norm="linf", quant_fraction=0.5)
+    pipe = InferencePipeline(trained_spectral_mlp, SZCompressor(), plan)
+    fields = rng.uniform(-1, 1, (5, 16, 16)).astype(np.float32)
+    registry = MetricsRegistry()
+    models = (pipe.quantized.model, pipe.model)
+    leaves = sum(
+        next(module.children(), None) is None
+        for model in models
+        for __, module in model.named_modules()
+    )
+    handles = [attach_layer_timing(model, metrics=registry) for model in models]
+    try:
+        for __ in range(3):
+            pipe.execute(fields)
+    finally:
+        for handle in handles:
+            handle.detach()
+    counts = sum(
+        row["count"] for row in registry.to_json()["metrics"]
+        if row["name"] == "nn_layer_forward_seconds"
+    )
+    assert counts > 0
+    assert counts == 3 * leaves  # every leaf of both models, every execute
+
+
 def test_attach_layer_timing_null_metrics_is_untouched(tiny_mlp):
     handle = attach_layer_timing(tiny_mlp, metrics=NULL_METRICS)
     assert handle.n_wrapped == 0

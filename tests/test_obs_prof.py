@@ -358,17 +358,17 @@ def test_execute_chunked_attaches_profile_window(pipeline, fields):
     assert result.extra["profile"]["seconds"] > 0
 
 
-def test_fused_kernel_frames_attributed_in_folded_export(pipeline, fields):
-    """A profiled run through the compiled backend keeps its synthetic
-    kernel filename, so backend time is attributable in the flamegraph."""
+def test_forward_layer_frames_attributed_in_folded_export(pipeline, fields):
+    """A profiled run attributes forward time to the interpreter's layer
+    frames, the only forward path, so it shows up in the flamegraph."""
     with profile_capture(hz=800.0) as profiler:
         deadline = time.perf_counter() + 10.0
         while time.perf_counter() < deadline:
             pipeline.execute(fields)
             folded = profiler.stacks.to_folded()
-            if "_fused_forward" in folded:
+            if "repro.nn.linear:Linear.forward" in folded:
                 break
-    assert "_fused_forward" in folded, folded[-2000:]
+    assert "repro.nn.linear:Linear.forward" in folded, folded[-2000:]
 
 
 # -- /profile endpoint --------------------------------------------------------

@@ -66,6 +66,7 @@ def test_parallel_map_cancels_pending_on_failure():
     """Fail-fast: once a task fails, queued-but-unstarted tasks are
     cancelled instead of being run to completion."""
     executed = []
+    timed_out = []
     gate = threading.Event()
 
     def task(x):
@@ -74,7 +75,8 @@ def test_parallel_map_cancels_pending_on_failure():
         # every non-failing task blocks until cancellation has happened,
         # so the workers cannot race through the queue before the main
         # thread wakes to cancel it
-        gate.wait(10.0)
+        if not gate.wait(10.0):
+            timed_out.append(x)
         executed.append(x)
         return x
 
@@ -99,6 +101,7 @@ def test_parallel_map_cancels_pending_on_failure():
     # tasks 0 and 2 ever start — the rest of the queue must be cancelled
     assert cancelled >= 37
     assert len(executed) <= 2
+    assert not timed_out  # the gate opened on the counter, not on timeout
 
 
 def test_parallel_map_earliest_failure_wins():
@@ -144,12 +147,15 @@ def test_worker_pool_drain_propagates_failure():
 
 def test_worker_pool_drain_cancels_pending_on_failure():
     executed = []
+    timed_out = []
     gate = threading.Event()
 
     def task(x):
         if x == 1:
             raise RuntimeError("first chunk failed")
-        gate.wait(10.0)  # park the workers until the backlog is cancelled
+        # park the workers until the backlog is cancelled
+        if not gate.wait(10.0):
+            timed_out.append(x)
         executed.append(x)
 
     with obs.capture() as (_tracer, metrics):
@@ -174,6 +180,7 @@ def test_worker_pool_drain_cancels_pending_on_failure():
         watcher.join(5.0)
     pool.shutdown()
     assert len(executed) <= 2  # the backlog was cancelled, not drained
+    assert not timed_out  # the gate opened on the counter, not on timeout
 
 
 def test_worker_pool_serial_runs_inline():
