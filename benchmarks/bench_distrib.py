@@ -3,8 +3,7 @@
 
 Times one coordinator + two in-process shard workers over loopback TCP
 in three telemetry configurations and writes the unified ``benchutils``
-row shape (``{path, config, seconds, reps_s, throughput_mb_s}`` —
-record with ``repro bench record`` to feed the regression history):
+row shape (``{path, config, seconds, throughput_mb_s}``):
 
 * ``telemetry=off``       — tracing/metrics disabled, no endpoint;
 * ``telemetry=on``        — tracing + metrics + worker METRICS pushes,
@@ -165,8 +164,7 @@ def bench_distrib(side: int, reps: int) -> list[dict]:
 
     rows = []
     for name, variant in variants:
-        reps_s = times[name]
-        best = min(reps_s)
+        best = min(times[name])
         rows.append(
             make_row(
                 "distrib_loopback",
@@ -179,7 +177,6 @@ def bench_distrib(side: int, reps: int) -> list[dict]:
                     "reps": reps,
                 },
                 best,
-                reps_s=reps_s,
                 throughput_mb_s=mb / best,
             )
         )

@@ -2,8 +2,7 @@
 """Micro-benchmarks for the chunked-execution hot paths.
 
 Four paths are timed and written in the unified ``benchutils`` row
-shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
-with ``repro bench record`` to feed the regression history; see
+shape (``{path, config, seconds, throughput_mb_s}``; see
 docs/PERFORMANCE.md for how to read the output):
 
 * ``huffman_decode``      — vectorized table-walk decoder vs the retained
@@ -56,7 +55,7 @@ def bench_huffman(n_symbols: int, reps: int) -> list[dict]:
     rows = []
     for impl, fn in (("scalar_reference", _decode_reference), ("vectorized", huffman_decode)):
         get_memo("huffman_tables").clear()
-        seconds, reps_s = best_of(lambda fn=fn: fn(blob), reps)
+        seconds = best_of(lambda fn=fn: fn(blob), reps)
         rows.append(
             make_row(
                 "huffman_decode",
@@ -67,7 +66,6 @@ def bench_huffman(n_symbols: int, reps: int) -> list[dict]:
                     "compressed_bytes": len(blob),
                 },
                 seconds,
-                reps_s=reps_s,
                 throughput_mb_s=raw_mb / seconds,
             )
         )
@@ -112,13 +110,12 @@ def bench_bound_eval(reps: int) -> list[dict]:
     rows = []
     clear_all_caches()
     for state, fn in (("cold", cold), ("warm", warm)):
-        seconds, reps_s = best_of(fn, reps)
+        seconds = best_of(fn, reps)
         rows.append(
             make_row(
                 "bound_eval",
                 {"cache": state, "evaluations": n_evals, "reps": reps},
                 seconds,
-                reps_s=reps_s,
                 throughput_mb_s=None,
             )
         )
@@ -159,7 +156,7 @@ def bench_pipeline_chunked(side: int, workers: int, reps: int) -> list[dict]:
     ]
     rows = []
     for executor, kwargs in configs:
-        seconds, reps_s = best_of(
+        seconds = best_of(
             lambda kw=kwargs: pipeline.execute_chunked(
                 fields, chunk_size=chunk_size, chunk_axis=1, **kw
             ),
@@ -176,7 +173,6 @@ def bench_pipeline_chunked(side: int, workers: int, reps: int) -> list[dict]:
                     "reps": reps,
                 },
                 seconds,
-                reps_s=reps_s,
                 throughput_mb_s=mb / seconds,
             )
         )
@@ -207,7 +203,7 @@ def bench_pipeline_checkpoint(side: int, workers: int, reps: int) -> list[dict]:
             ("on", dict(checkpoint=os.path.join(scratch, "ck"))),
         ]
         for journal, kwargs in configs:
-            seconds, reps_s = best_of(
+            seconds = best_of(
                 lambda kw=kwargs: pipeline.execute_chunked(
                     fields, chunk_size=chunk_size, chunk_axis=1, workers=1, **kw
                 ),
@@ -223,7 +219,6 @@ def bench_pipeline_checkpoint(side: int, workers: int, reps: int) -> list[dict]:
                         "reps": reps,
                     },
                     seconds,
-                    reps_s=reps_s,
                     throughput_mb_s=mb / seconds,
                 )
             )
@@ -251,7 +246,7 @@ def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
     pipeline, fields, chunk_size = _chunked_pipeline_setup(side, 2)
     mb = fields.nbytes / 1e6
 
-    serial_seconds, serial_reps = best_of(
+    serial_seconds = best_of(
         lambda: pipeline.execute_chunked(
             fields, chunk_size=chunk_size, chunk_axis=1, workers=1
         ),
@@ -297,7 +292,7 @@ def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
         for thread in threads:
             thread.join(timeout=15.0)
 
-    distributed_seconds, distributed_reps = best_of(one_run, reps)
+    distributed_seconds = best_of(one_run, reps)
     rows = [
         make_row(
             "pipeline_distributed",
@@ -311,12 +306,11 @@ def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
                 "overhead_vs_serial": seconds / serial_seconds - 1.0,
             },
             seconds,
-            reps_s=reps_s,
             throughput_mb_s=mb / seconds,
         )
-        for executor, workers, seconds, reps_s in (
-            ("serial", 1, serial_seconds, serial_reps),
-            ("distributed", 2, distributed_seconds, distributed_reps),
+        for executor, workers, seconds in (
+            ("serial", 1, serial_seconds),
+            ("distributed", 2, distributed_seconds),
         )
     ]
     overhead = distributed_seconds / serial_seconds - 1.0
@@ -336,9 +330,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
-    # three reps even in quick mode: `repro bench diff` treats rows with
-    # fewer (--min-reps) as sparse and doubles its threshold, which would
-    # let the CI drift gate pass a 30% slowdown
+    # three reps even in quick mode: the CI speedup gates compare
+    # best-of times, so one rep slowed by scheduler noise must not fail them
     reps = 3
     n_symbols = 1_000_000
     side = 64 if args.quick else 128

@@ -2,19 +2,11 @@
 
 Every benchmark in this directory emits the same JSON row shape::
 
-    {"path": ..., "config": {...}, "seconds": best,
-     "reps_s": [per-rep wall times], "throughput_*": ...}
+    {"path": ..., "config": {...}, "seconds": best, "throughput_*": ...}
 
-``seconds`` stays the historical best-of-reps number (robust to
-scheduler noise, what the per-PR gates assert), while ``reps_s`` keeps
-the individual rep times: :mod:`repro.perf.history` computes its
-median/MAD regression statistics from them, so a recorded run carries
-its own noise floor instead of a single point estimate.
-
-``config`` holds the *identity* of what was measured plus derived
-outcomes (speedups, overheads).  The history layer strips the derived
-keys before fingerprinting — see ``_VOLATILE_PREFIXES`` there — so only
-add new measured-outcome keys under those prefixes.
+``seconds`` is the best-of-reps wall time (robust to scheduler noise,
+what the CI speedup gates assert).  ``config`` holds the identity of
+what was measured plus derived outcomes (speedups, overheads).
 """
 
 from __future__ import annotations
@@ -24,32 +16,25 @@ import os
 import time
 
 
-def best_of(fn, reps: int) -> "tuple[float, list[float]]":
-    """``(best wall time, all rep wall times)`` over ``reps`` calls.
-
-    Best-of is robust to scheduler noise for gating; the full rep list
-    feeds the bench history's median/MAD regression detector.
-    """
-    times: list[float] = []
+def best_of(fn, reps: int) -> float:
+    """Best wall time over ``reps`` calls (robust to scheduler noise)."""
+    best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    return min(times), times
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def make_row(
     path: str,
     config: dict,
     seconds: float,
-    reps_s: "list[float] | None" = None,
     **throughputs,
 ) -> dict:
     """One unified bench row; throughput fields pass through by name
     (``throughput_mb_s=...``, ``throughput_samples_s=...``)."""
     row = {"path": path, "config": dict(config), "seconds": float(seconds)}
-    if reps_s:
-        row["reps_s"] = [float(r) for r in reps_s]
     for field, value in throughputs.items():
         if not field.startswith("throughput"):
             raise ValueError(f"throughput field must start with 'throughput', got {field!r}")

@@ -22,12 +22,7 @@ Commands mirror the paper's workflow:
                     ``diff`` compares the bound tightness of two runs;
 * ``profile``     — run any other command under the sampling profiler
                     and write a flamegraph-ready export (also available
-                    as the global ``--profile FILE`` flag);
-* ``bench``       — persistent benchmark history: ``record`` appends a
-                    ``benchmarks/*.py`` rows file to a JSONL registry,
-                    ``report`` lists it, ``diff`` gates two runs against
-                    the robust regression detector (nonzero exit on a
-                    flagged slowdown — the CI perf gate).
+                    as the global ``--profile FILE`` flag).
 
 Observability is wired through global flags: ``--trace FILE`` writes a
 JSONL span trace of the run, ``--metrics FILE`` a metrics snapshot
@@ -79,19 +74,19 @@ from .obs import (
 from .obs.prof import DEFAULT_HZ
 from .obs.audit import DEFAULT_LOOSE_BELOW
 from .obs.registry import DEFAULT_DRIFT_THRESHOLD
-from .perf.history import (
-    DEFAULT_BENCH_THRESHOLD,
-    DEFAULT_MAD_K,
-    DEFAULT_MIN_REPS,
-    BenchRegistry,
-    describe_bench_diff,
-)
 from .quant import STANDARD_FORMATS
 from .workloads import WORKLOAD_NAMES, load_workload
 
 __all__ = ["main", "build_parser"]
 
 _LOG = get_logger("cli")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_plan_flags(sub) -> None:
@@ -415,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="summarize a run registry and detect tightness drift"
     )
     report.add_argument("registry", help="JSONL registry written by 'audit record'")
-    report.add_argument("--last", type=int, default=10,
+    report.add_argument("--last", type=_positive_int, default=10,
                         help="number of most recent runs to list")
     report.add_argument("--threshold", type=float, default=DEFAULT_DRIFT_THRESHOLD,
                         help="relative tightness increase flagged as drift "
@@ -452,66 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro profile -- pipeline heat3d --tolerance 1e-3'",
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="persistent benchmark history: record bench rows into a "
-        "JSONL registry, report it, diff two runs with regression gates",
-    )
-    bench_cmds = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_record = bench_cmds.add_parser(
-        "record", help="append a benchmarks/*.py rows file to the history"
-    )
-    bench_record.add_argument(
-        "rows_file",
-        help="bench JSON written by benchmarks/*.py (a row list, or an "
-        "object with a 'rows' list)",
-    )
-    bench_record.add_argument("--registry", required=True, metavar="FILE",
-                              help="JSONL bench history to append to")
-    bench_record.add_argument("--label", default="",
-                              help="free-form label stored with the run")
-    bench_record.add_argument("--bench", default=None,
-                              help="bench name (default: rows file stem)")
-    bench_record.add_argument("--git-rev", default=None,
-                              help="source revision recorded with the run "
-                              "(default: git rev-parse, empty outside a repo)")
-
-    bench_report = bench_cmds.add_parser(
-        "report", help="list the recorded benchmark runs"
-    )
-    bench_report.add_argument("registry", help="JSONL history written by 'bench record'")
-    bench_report.add_argument("--last", type=int, default=10,
-                              help="number of most recent runs to list")
-
-    bench_diff = bench_cmds.add_parser(
-        "diff",
-        help="regression gate between two recorded runs "
-        "(exits nonzero when a row regressed)",
-    )
-    bench_diff.add_argument("run_a", nargs="?", default=None,
-                            help="baseline run id (e.g. bench-0001) or index "
-                            "(default: second-latest run)")
-    bench_diff.add_argument("run_b", nargs="?", default=None,
-                            help="candidate run id or index (default: latest run)")
-    bench_diff.add_argument("--registry", required=True, metavar="FILE",
-                            help="JSONL history holding both runs")
-    bench_diff.add_argument(
-        "--threshold", type=float, default=DEFAULT_BENCH_THRESHOLD,
-        help="relative slowdown flagged as regression "
-        f"(default: {DEFAULT_BENCH_THRESHOLD}; doubled when either side "
-        "has sparse reps)",
-    )
-    bench_diff.add_argument(
-        "--min-reps", type=int, default=DEFAULT_MIN_REPS,
-        help="reps below this widen the gate to 2x the threshold "
-        f"(default: {DEFAULT_MIN_REPS})",
-    )
-    bench_diff.add_argument(
-        "--mad-k", type=float, default=DEFAULT_MAD_K,
-        help="absolute change must clear this many scaled MADs of the "
-        f"noisier run (default: {DEFAULT_MAD_K})",
-    )
     return parser
 
 
@@ -1057,116 +992,6 @@ def _cmd_profile(args) -> int:
     return code
 
 
-def _git_rev() -> str:
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return ""
-    return out.stdout.strip() if out.returncode == 0 else ""
-
-
-def _cmd_bench_record(args) -> int:
-    import os
-
-    try:
-        with open(args.rows_file) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        _LOG.error(f"error (OSError): cannot read rows file: {exc}")
-        return 1
-    except json.JSONDecodeError as exc:
-        _LOG.error(f"error (JSONDecodeError): {args.rows_file} is not bench JSON: {exc}")
-        return 1
-    rows = payload if isinstance(payload, list) else payload.get("rows")
-    if not isinstance(rows, list):
-        _LOG.error(
-            f"error: {args.rows_file} holds neither a row list nor a "
-            "'rows' object"
-        )
-        return 1
-    bench = args.bench or os.path.splitext(os.path.basename(args.rows_file))[0]
-    git_rev = args.git_rev if args.git_rev is not None else _git_rev()
-    registry = BenchRegistry(args.registry)
-    try:
-        run = registry.record(rows, bench=bench, label=args.label, git_rev=git_rev)
-    except ValueError as exc:
-        _LOG.error(f"error (ValueError): {exc}")
-        return 1
-    _LOG.info(
-        f"recorded {run['run_id']} ({len(run['rows'])} row(s), "
-        f"bench {run['bench']}"
-        + (f", rev {run['git_rev']}" if run["git_rev"] else "")
-        + f") -> {args.registry}"
-    )
-    return 0
-
-
-def _cmd_bench_report(args) -> int:
-    registry = BenchRegistry(args.registry)
-    runs = registry.runs()
-    if not runs:
-        _LOG.info(f"{args.registry}: empty bench history")
-        return 0
-    _LOG.info(
-        f"{'run':12s} {'bench':24s} {'label':16s} {'rev':>8s} {'rows':>5s}"
-    )
-    for run in runs[-args.last:]:
-        _LOG.info(
-            f"{run.get('run_id', '?'):12s} {run.get('bench', '?')[:24]:24s} "
-            f"{run.get('label', '')[:16]:16s} {run.get('git_rev', '')[:8]:>8s} "
-            f"{len(run.get('rows', [])):>5d}"
-        )
-    return 0
-
-
-def _cmd_bench_diff(args) -> int:
-    registry = BenchRegistry(args.registry)
-    run_a, run_b = args.run_a, args.run_b
-    if run_a is None or run_b is None:
-        runs = registry.runs()
-        if len(runs) < 2:
-            _LOG.error(
-                f"error: bench diff needs two runs, {args.registry} holds "
-                f"{len(runs)}"
-            )
-            return 1
-        run_a = run_a if run_a is not None else runs[-2]["run_id"]
-        run_b = run_b if run_b is not None else runs[-1]["run_id"]
-    try:
-        report = registry.diff(
-            run_a, run_b,
-            threshold=args.threshold,
-            min_reps=args.min_reps,
-            mad_k=args.mad_k,
-        )
-    except (KeyError, ValueError) as exc:
-        _LOG.error(f"error ({type(exc).__name__}): {exc.args[0]}")
-        return 1
-    _LOG.info(f"bench diff {report['run_a']} -> {report['run_b']}")
-    _LOG.info(describe_bench_diff(report))
-    if not report["compared"]:
-        _LOG.info(
-            "no comparable rows (different benches or host shapes); "
-            "nothing to gate"
-        )
-        return 0
-    return 1 if report["regressions"] else 0
-
-
-def _cmd_bench(args) -> int:
-    handlers = {
-        "record": _cmd_bench_record,
-        "report": _cmd_bench_report,
-        "diff": _cmd_bench_diff,
-    }
-    return handlers[args.bench_command](args)
-
-
 _HANDLERS = {
     "analyze": _cmd_analyze,
     "plan": _cmd_plan,
@@ -1181,7 +1006,6 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "audit": _cmd_audit,
     "profile": _cmd_profile,
-    "bench": _cmd_bench,
 }
 
 

@@ -74,8 +74,14 @@ class RunRegistry:
         return self.runs()[-n:]
 
     def get(self, key: "str | int") -> dict:
-        """Look up a run by ``run_id`` or by (possibly negative) index."""
+        """Look up a run by ``run_id`` or by (possibly negative) index.
+
+        An index may be given as an ``int`` or as its decimal string
+        (``"0"``, ``"-1"``), which is how the CLI passes it.
+        """
         runs = self.runs()
+        if isinstance(key, str) and key.removeprefix("-").isdecimal():
+            key = int(key)
         if isinstance(key, int):
             try:
                 return runs[key]

@@ -5,7 +5,8 @@
 * :mod:`~repro.perf.cache` memoizes the repeatedly evaluated analysis
   kernels (spectral norms, step sizes, Huffman decode tables);
 * :mod:`~repro.perf.parallel` provides the order-preserving worker pool
-  behind chunked I/O and ``InferencePipeline.execute_chunked``.
+  behind chunked I/O; ``InferencePipeline.execute_chunked`` uses only
+  its ``resolve_workers`` to normalize a worker count.
 """
 
 from .cache import (

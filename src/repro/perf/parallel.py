@@ -1,4 +1,4 @@
-"""Worker-pool execution for the chunked I/O and pipeline hot paths.
+"""Worker-pool execution for the chunked I/O hot paths.
 
 The heavy kernels (interpolation passes, ``np.packbits``/gathers in the
 entropy stage, matmuls in inference) are numpy calls that release the

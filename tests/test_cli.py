@@ -277,6 +277,44 @@ def test_audit_diff_unknown_run(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _write_audit_registry(path, tightnesses):
+    from repro.obs import RunRegistry
+
+    registry = RunRegistry(str(path))
+    for tightness in tightnesses:
+        registry.append(
+            {
+                "fmt": "fp16", "codec": "sz", "verdict": "ok",
+                "qoi_tightness": tightness, "weight_version": 1,
+                "layers": [{"name": "0", "tightness": tightness, "verdict": "ok"}],
+            }
+        )
+
+
+@pytest.mark.parametrize("run_a, run_b", [("0", "1"), ("-2", "-1")])
+def test_audit_diff_resolves_index_arguments(tmp_path, capsys, run_a, run_b):
+    registry_path = tmp_path / "runs.jsonl"
+    _write_audit_registry(registry_path, [0.40, 0.41])
+    assert main(
+        ["audit", "diff", run_a, run_b, "--registry", str(registry_path)]
+    ) == 0
+    assert "audit diff run-0001 -> run-0002" in capsys.readouterr().out
+    assert main(
+        ["audit", "diff", run_a, "2", "--registry", str(registry_path)]
+    ) == 1
+    assert "no index 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last", ["0", "-3"])
+def test_audit_report_rejects_nonpositive_last(tmp_path, capsys, last):
+    registry_path = tmp_path / "runs.jsonl"
+    _write_audit_registry(registry_path, [0.40, 0.41, 0.42, 0.43])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["audit", "report", str(registry_path), "--last", last])
+    assert excinfo.value.code == 2
+    assert "--last: must be at least 1" in capsys.readouterr().err
+
+
 def test_audit_flag_on_pipeline_command(tmp_path, capsys):
     from repro.obs import NULL_AUDITOR, get_auditor, read_jsonl
 

@@ -222,10 +222,14 @@ def test_registry_get_by_id_and_index(tmp_path):
     assert registry.get("run-0002")["qoi_tightness"] == 0.2
     assert registry.get(0)["qoi_tightness"] == 0.1
     assert registry.get(-1)["qoi_tightness"] == 0.2
+    assert registry.get("0")["qoi_tightness"] == 0.1
+    assert registry.get("-1")["qoi_tightness"] == 0.2
     with pytest.raises(KeyError):
         registry.get("run-9999")
     with pytest.raises(KeyError):
         registry.get(7)
+    with pytest.raises(KeyError):
+        registry.get("7")
 
 
 def test_registry_round_trip_preserves_record(tmp_path):
