@@ -1,10 +1,14 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Four paths are timed and written in the unified ``benchutils`` row
+Six paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, throughput_mb_s}``; see
 docs/PERFORMANCE.md for how to read the output):
 
+* ``huffman_encode``      — vectorized encoder vs the retained
+  ``_encode_reference`` on the ten symbol streams SZ, MGARD and ZFP
+  entropy-code for one 9x128x128 h2combustion snapshot (byte-identical
+  blobs asserted), one row per stream;
 * ``huffman_decode``      — vectorized table-walk decoder vs the retained
   scalar ``_decode_reference`` on a peaked 1M-symbol stream;
 * ``bound_eval``          — a planner-style format x fraction sweep with
@@ -12,7 +16,9 @@ docs/PERFORMANCE.md for how to read the output):
 * ``pipeline_chunked``    — ``InferencePipeline.execute_chunked`` serial
   vs the supervised 4-worker process pool;
 * ``pipeline_checkpoint`` — the same serial run with and without the
-  durable checkpoint journal (journaling overhead).
+  durable checkpoint journal (journaling overhead);
+* ``pipeline_distributed`` — a loopback coordinator with two in-thread
+  workers vs serial (distribution overhead).
 
 Throughput numbers are hardware-dependent (the pool speedups in
 particular require free cores — ``config.cpu_count`` records what was
@@ -31,16 +37,100 @@ import tempfile
 import numpy as np
 
 from benchutils import best_of, finalize_rows, make_row, write_rows
-from repro.compress.huffman import _decode_reference, huffman_decode, huffman_encode
+from repro.compress import huffman, mgard, sz, zfp
+from repro.compress.base import ErrorBoundMode
+from repro.compress.huffman import (
+    _decode_reference,
+    _encode_reference,
+    huffman_decode,
+    huffman_encode,
+)
+from repro.compress.mgard import MGARDCompressor
 from repro.compress.sz import SZCompressor
+from repro.compress.zfp import ZFPCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
+from repro.datasets import make_h2_combustion
 from repro.nn.activations import Tanh
 from repro.nn.linear import Linear, SpectralLinear
 from repro.nn.sequential import Sequential
 from repro.perf.cache import clear_all_caches, get_memo
 from repro.quant.formats import STANDARD_FORMATS
+
+
+#: the codec-sweep perfbench cells: codec, error-bound mode and the input
+#: tolerance its planner picks for the h2combustion model
+CODEC_CELLS = tuple(
+    (codec, mode, tolerance)
+    for codec in (SZCompressor, MGARDCompressor)
+    for mode, tolerance in (
+        (ErrorBoundMode.ABS, 6.1e-4),
+        (ErrorBoundMode.ABS, 9.3e-5),
+        (ErrorBoundMode.L2_ABS, 1.84e-3),
+        (ErrorBoundMode.L2_ABS, 2.79e-4),
+    )
+) + (
+    (ZFPCompressor, ErrorBoundMode.ABS, 6.1e-4),
+    (ZFPCompressor, ErrorBoundMode.ABS, 9.3e-5),
+)
+
+
+def codec_streams() -> list[tuple[str, np.ndarray]]:
+    """The symbol streams each codec cell hands to ``huffman_encode``."""
+    fields = make_h2_combustion(grid=128, rng=np.random.default_rng([1, 0])).fields
+    captured = []
+
+    def capture(symbols, max_alphabet=4096):
+        captured.append(np.array(symbols))
+        return huffman_encode(symbols, max_alphabet=max_alphabet)
+
+    streams = []
+    for codec, mode, tolerance in CODEC_CELLS:
+        module = {"sz": sz, "mgard": mgard, "zfp": zfp}[codec.name]
+        module.huffman_encode = capture
+        try:
+            codec().compress(fields, tolerance, mode)
+        finally:
+            module.huffman_encode = huffman.huffman_encode
+        streams.append((f"{codec.name}-{mode.value}-{tolerance:g}", captured.pop()))
+    return streams
+
+
+def bench_huffman_encode(reps: int) -> list[dict]:
+    rows = []
+    for cell, symbols in codec_streams():
+        blob = huffman_encode(symbols)
+        assert blob == _encode_reference(symbols), f"{cell}: blobs differ"
+        raw_mb = symbols.nbytes / 1e6
+        for impl, fn in (("reference", _encode_reference), ("vectorized", huffman_encode)):
+            seconds = best_of(lambda fn=fn: fn(symbols), reps)
+            rows.append(
+                make_row(
+                    "huffman_encode",
+                    {
+                        "impl": impl,
+                        "stream": cell,
+                        "n_symbols": int(symbols.size),
+                        "n_distinct": int(np.unique(symbols).size),
+                        "reps": reps,
+                        "compressed_bytes": len(blob),
+                    },
+                    seconds,
+                    throughput_mb_s=raw_mb / seconds,
+                )
+            )
+    total = {
+        impl: sum(r["seconds"] for r in rows if r["config"]["impl"] == impl)
+        for impl in ("reference", "vectorized")
+    }
+    speedup = total["reference"] / total["vectorized"]
+    for row in rows:
+        row["config"]["summed_speedup_vs_reference"] = speedup
+    print(f"huffman_encode ({len(rows) // 2} codec streams): reference "
+          f"{total['reference']*1e3:.1f} ms, vectorized "
+          f"{total['vectorized']*1e3:.1f} ms -> {speedup:.1f}x")
+    return rows
 
 
 def bench_huffman(n_symbols: int, reps: int) -> list[dict]:
@@ -337,6 +427,7 @@ def main(argv=None) -> int:
     side = 64 if args.quick else 128
 
     rows = []
+    rows += bench_huffman_encode(reps)
     rows += bench_huffman(n_symbols, reps)
     rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)

@@ -1,8 +1,15 @@
-"""Bit-level I/O used by the entropy coding stages of the codecs.
+"""Bit packing for the entropy coding stage of the codecs.
 
-Writing is vectorized with numpy (codes are expanded into a flat bit array
-and packed with ``np.packbits``); reading keeps a cheap cursor-based
-interface for the canonical-Huffman decoder.
+:func:`pack_codes` concatenates variable-length big-endian codes without
+a per-bit or per-symbol loop.  A code of at most 32 bits touches at most
+two big-endian 64-bit words: the word its first bit falls in and, when it
+straddles a word boundary, the next one.  Bit offsets come from one
+cumulative sum; each code is shifted into place in its first word, and
+because start offsets are monotone the codes sharing a word are merged
+with a single ``np.bitwise_or.reduceat``.  The straddling tails are OR-ed
+into the following words (at most one tail per word).  The per-bit
+packer it replaces is kept as :func:`_pack_codes_reference`; tests
+assert the two are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,12 +18,14 @@ import numpy as np
 
 from ..exceptions import CompressionError
 
-__all__ = ["pack_codes", "BitReader"]
+__all__ = ["pack_codes"]
 
-#: descending powers of two: _POW2[64 - k:] is [2^(k-1), ..., 2, 1], so a
-#: dot product against it assembles a k-bit big-endian integer in one
-#: vectorized pass instead of a per-bit Python loop.
-_POW2 = np.left_shift(np.uint64(1), np.arange(63, -1, -1, dtype=np.uint64))
+
+def _check_codes(values: np.ndarray, lengths: np.ndarray) -> None:
+    if values.shape != lengths.shape:
+        raise CompressionError("values and lengths must have the same shape")
+    if values.size and (lengths.min() < 1 or lengths.max() > 32):
+        raise CompressionError("code lengths must lie in [1, 32]")
 
 
 def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -25,7 +34,8 @@ def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     Parameters
     ----------
     values:
-        Non-negative code values, one per symbol.
+        Non-negative code values, one per symbol; each must fit in its
+        length (``value < 2**length``).
     lengths:
         Bit length of each code (1..32).
 
@@ -37,12 +47,47 @@ def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """
     values = np.asarray(values, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if values.shape != lengths.shape:
-        raise CompressionError("values and lengths must have the same shape")
+    _check_codes(values, lengths)
     if values.size == 0:
         return b"", 0
-    if lengths.min() < 1 or lengths.max() > 32:
-        raise CompressionError("code lengths must lie in [1, 32]")
+    if np.any(values >> lengths.astype(np.uint64)):
+        raise CompressionError("code values must fit in their lengths")
+    pos = np.cumsum(lengths, dtype=np.int64)
+    total_bits = int(pos[-1])
+    pos -= lengths  # start bit of each code
+    word = pos >> 6
+    pos &= 63
+    pos += lengths  # end bit within the first word, 1..95
+    np.subtract(64, pos, out=pos)  # left shift into the first word
+    # Straddlers have a negative shift; their garbage is overwritten.
+    head = values << pos.view(np.uint64)
+    spill = np.flatnonzero(pos < 0)
+    tail_shift = pos[spill]
+    head[spill] = values[spill] >> (-tail_shift).astype(np.uint64)
+    # Every word up to the last start holds a code start (a code spills
+    # at most 31 bits), so the reduceat segments are exactly words 0..W-1.
+    n_words = int(word[-1]) + 1
+    words = np.zeros(n_words + 1, dtype=np.uint64)
+    np.bitwise_or.reduceat(
+        head, np.searchsorted(word, np.arange(n_words)), out=words[:n_words]
+    )
+    del head
+    words[word[spill] + 1] |= values[spill] << (tail_shift + 64).astype(np.uint64)
+    payload = words.astype(">u8").view(np.uint8)[: (total_bits + 7) // 8]
+    return payload.tobytes(), total_bits
+
+
+def _pack_codes_reference(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
+    """The original packer, one vectorized pass per bit position.
+
+    Kept as the ground truth for :func:`pack_codes` and used by the
+    reference Huffman encoder.
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    _check_codes(values, lengths)
+    if values.size == 0:
+        return b"", 0
     ends = np.cumsum(lengths)
     starts = ends - lengths
     total_bits = int(ends[-1])
@@ -54,73 +99,3 @@ def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         shift = (lengths[active] - 1 - j).astype(np.uint64)
         bits[starts[active] + j] = (values[active] >> shift) & np.uint64(1)
     return np.packbits(bits).tobytes(), total_bits
-
-
-class BitReader:
-    """Sequential MSB-first bit reader over packed bytes."""
-
-    def __init__(self, payload: bytes, total_bits: int) -> None:
-        self._bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-        if total_bits > self._bits.size:
-            raise CompressionError(
-                f"bitstream declares {total_bits} bits but payload has {self._bits.size}"
-            )
-        self.total_bits = total_bits
-        self.position = 0
-
-    def read(self, n_bits: int) -> int:
-        """Read ``n_bits`` as an unsigned big-endian integer."""
-        end = self.position + n_bits
-        if end > self.total_bits:
-            raise CompressionError("bitstream exhausted")
-        chunk = self._bits[self.position : end]
-        self.position = end
-        if n_bits == 0:
-            return 0
-        if n_bits > 64:
-            # Beyond uint64 the dot product would overflow; assemble with
-            # the scalar loop (no caller reads codes this wide).
-            value = 0
-            for bit in chunk:
-                value = (value << 1) | int(bit)
-            return value
-        return int(chunk.astype(np.uint64) @ _POW2[64 - n_bits :])
-
-    def peek16(self) -> int:
-        """Peek up to 16 bits (zero padded past the end) without advancing."""
-        end = min(self.position + 16, self._bits.size)
-        chunk = self._bits[self.position : end]
-        if chunk.size == 0:
-            return 0
-        value = int(chunk.astype(np.uint64) @ _POW2[64 - chunk.size :])
-        return value << (16 - chunk.size)
-
-    def _read_reference(self, n_bits: int) -> int:
-        """Scalar ``read`` kept as ground truth for property tests."""
-        end = self.position + n_bits
-        if end > self.total_bits:
-            raise CompressionError("bitstream exhausted")
-        chunk = self._bits[self.position : end]
-        self.position = end
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | int(bit)
-        return value
-
-    def _peek16_reference(self) -> int:
-        """Scalar ``peek16`` kept as ground truth for property tests."""
-        end = min(self.position + 16, self._bits.size)
-        chunk = self._bits[self.position : end]
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | int(bit)
-        return value << (16 - len(chunk))
-
-    def skip(self, n_bits: int) -> None:
-        self.position += n_bits
-        if self.position > self.total_bits:
-            raise CompressionError("bitstream exhausted")
-
-    @property
-    def remaining(self) -> int:
-        return self.total_bits - self.position

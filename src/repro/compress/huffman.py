@@ -11,6 +11,15 @@ Design points:
   sharply peaked distribution); rare symbols are emitted as an escape code
   followed by a raw 32-bit value, so pathological inputs cannot blow up
   the table;
+* **vectorized encode** — code lengths come from a two-queue Huffman
+  construction over the sorted counts (it breaks ties exactly like a
+  binary heap keyed on ``(frequency, insertion order)``), followed by a
+  zlib-style length-limiting fix-up; canonical codes are assigned per
+  length (RFC 1951 §3.2.2); one gather maps every distinct value to its
+  code, and :func:`~repro.compress.bitstream.pack_codes` packs the codes
+  into 64-bit words.  The original heap/dict encoder is retained as
+  :func:`_encode_reference`; property tests assert the blobs are
+  byte-identical;
 * **vectorized decode** — instead of a per-symbol Python loop, the
   decoder gathers the 16-bit prefix window of *every* bit offset at once,
   turns the prefix table into a next-position function, composes it into
@@ -34,13 +43,17 @@ import numpy as np
 
 from ..exceptions import CompressionError
 from ..perf.cache import get_memo
-from .bitstream import pack_codes
+from .bitstream import _pack_codes_reference, pack_codes
 
 __all__ = ["huffman_encode", "huffman_decode"]
 
 _MAX_CODE_LENGTH = 16
 _MAGIC = b"HUF1"
 _ESCAPE = -(2**31)  # sentinel symbol id for escaped values
+#: the header stores the alphabet size as a uint16
+_MAX_ALPHABET = 2**16 - 1
+#: one header entry per coded symbol, in canonical (length, symbol) order
+_HEADER_DTYPE = np.dtype([("symbol", "<i4"), ("length", "u1")])
 
 #: slack past the end of the bit positions array: strictly larger than the
 #: largest single-symbol advance (16-bit code + 32 raw bits), so composed
@@ -48,116 +61,196 @@ _ESCAPE = -(2**31)  # sentinel symbol id for escaped values
 _PAD = 64
 
 
-def _code_lengths(frequencies: dict[int, int]) -> dict[int, int]:
-    """Huffman code lengths per symbol, length-limited to 16 bits."""
-    if len(frequencies) == 1:
-        return {next(iter(frequencies)): 1}
-    heap: list[tuple[int, int, list[int]]] = []
-    for tiebreak, (symbol, freq) in enumerate(sorted(frequencies.items())):
-        heapq.heappush(heap, (freq, tiebreak, [symbol]))
-    lengths = {symbol: 0 for symbol in frequencies}
-    counter = len(frequencies)
-    while len(heap) > 1:
-        f1, __, group1 = heapq.heappop(heap)
-        f2, __, group2 = heapq.heappop(heap)
-        for symbol in group1 + group2:
-            lengths[symbol] += 1
-        counter += 1
-        heapq.heappush(heap, (f1 + f2, counter, group1 + group2))
-    # Length-limit: clamp overlong codes, then restore the Kraft sum by
-    # deepening the shallowest cheap symbols (zlib-style fix-up).
-    capped = {s: min(l, _MAX_CODE_LENGTH) for s, l in lengths.items()}
-    kraft = sum(2 ** (_MAX_CODE_LENGTH - l) for l in capped.values())
-    budget = 2**_MAX_CODE_LENGTH
-    if kraft > budget:
-        # Deepen symbols ordered by ascending frequency so common symbols
-        # keep short codes.
-        order = sorted(capped, key=lambda s: (frequencies[s], s))
-        index = 0
-        while kraft > budget:
-            symbol = order[index % len(order)]
-            index += 1
-            if capped[symbol] < _MAX_CODE_LENGTH:
-                kraft -= 2 ** (_MAX_CODE_LENGTH - capped[symbol] - 1)
-                capped[symbol] += 1
-    return capped
+def check_max_alphabet(max_alphabet: int) -> int:
+    """Validate an alphabet cap; the uint16 header count bounds it.
+
+    A cap above 65535 could also leave more symbols than 16-bit codes
+    can hold, so the length-limiting fix-up would never terminate.
+    """
+    if not 1 <= max_alphabet <= _MAX_ALPHABET:
+        raise CompressionError(
+            f"max_alphabet must lie in [1, {_MAX_ALPHABET}], got {max_alphabet}"
+        )
+    return int(max_alphabet)
 
 
-def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Assign canonical (code, length) pairs sorted by (length, symbol)."""
+def _code_lengths(counts: np.ndarray) -> np.ndarray:
+    """Huffman code lengths, length-limited to 16 bits.
+
+    ``counts`` holds one frequency per symbol in ascending symbol order.
+    Two-queue construction: leaves sorted by ``(count, symbol)`` and
+    merged nodes in creation order (their weights never decrease); a leaf
+    wins a weight tie.  This pops nodes in exactly the order of a heap
+    keyed on ``(weight, leaf index or merge counter)``.
+    """
+    n = counts.size
+    if n == 1:
+        return np.ones(1, dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    leaf = counts[order].tolist()
+    merged = [0] * (n - 1)
+    # Node ids: leaves 0..n-1 in ``order``, merge k is node n + k.
+    parent = [2 * n - 2] * (2 * n - 1)
+    i = j = 0
+    # The two pops per merge are written out: an inner loop costs ~70%
+    # more on a 4096-symbol alphabet.
+    for k in range(n - 1):
+        node = n + k
+        if i < n and (j == k or leaf[i] <= merged[j]):
+            weight = leaf[i]
+            parent[i] = node
+            i += 1
+        else:
+            weight = merged[j]
+            parent[n + j] = node
+            j += 1
+        if i < n and (j == k or leaf[i] <= merged[j]):
+            weight += leaf[i]
+            parent[i] = node
+            i += 1
+        else:
+            weight += merged[j]
+            parent[n + j] = node
+            j += 1
+        merged[k] = weight
+    # Depth of every node by pointer jumping towards the root.
+    root = 2 * n - 2
+    parent = np.array(parent, dtype=np.int64)
+    depth = np.ones(2 * n - 1, dtype=np.int64)
+    depth[root] = 0
+    while parent.min() != root:
+        depth += depth[parent]
+        parent = parent[parent]
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = depth[:n]
+    return _limit_lengths(lengths, order)
+
+
+def _limit_lengths(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Clamp to 16 bits, then restore the Kraft sum (zlib-style fix-up).
+
+    Symbols are deepened one bit at a time, round-robin in ascending
+    ``(count, symbol)`` order (``order``) so common symbols keep short
+    codes, until the sum fits; each round is one vectorized pass.
+    """
+    lengths = np.minimum(lengths, _MAX_CODE_LENGTH)
+    excess = int(np.sum(1 << (_MAX_CODE_LENGTH - lengths))) - 2**_MAX_CODE_LENGTH
+    while excess > 0:
+        # Deepening a symbol by one bit halves its Kraft term.
+        gain = (1 << (_MAX_CODE_LENGTH - lengths[order])) >> 1
+        saved = np.cumsum(gain)
+        if saved[-1] >= excess:
+            stop = int(np.searchsorted(saved, excess)) + 1
+            lengths[order[:stop]] += gain[:stop] > 0
+            break
+        lengths[order] += gain > 0
+        excess -= int(saved[-1])
+    return lengths
+
+
+def _canonical_codes(
+    symbols: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical codes per RFC 1951 §3.2.2.
+
+    Returns ``(order, codes)``: ``order`` sorts the symbols by
+    ``(length, symbol)`` and ``codes[k]`` is the code of
+    ``symbols[order[k]]``.
+    """
+    order = np.lexsort((symbols, lengths))
+    ranked = lengths[order]
+    bl_count = np.bincount(ranked, minlength=_MAX_CODE_LENGTH + 1)
+    next_code = np.zeros(_MAX_CODE_LENGTH + 1, dtype=np.int64)
     code = 0
-    previous_length = 0
-    table: dict[int, tuple[int, int]] = {}
-    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
-        code <<= length - previous_length
-        table[symbol] = (code, length)
-        code += 1
-        previous_length = length
-    return table
+    for bits in range(1, _MAX_CODE_LENGTH + 1):
+        code = (code + int(bl_count[bits - 1])) << 1
+        next_code[bits] = code
+    first = np.cumsum(bl_count) - bl_count
+    codes = next_code[ranked] + (np.arange(ranked.size) - first[ranked])
+    return order, codes
 
 
 def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     """Encode an integer array into a self-contained blob.
 
     Symbols outside the ``max_alphabet`` most frequent values are escaped
-    (raw 32-bit two's complement after an escape code).
+    (raw 32-bit two's complement after an escape code); ``max_alphabet``
+    must lie in ``[1, 65535]``.
     """
+    max_alphabet = check_max_alphabet(max_alphabet)
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
     n = symbols.size
     if n == 0:
         return _MAGIC + struct.pack("<IH", 0, 0)
     unique, inverse, counts = np.unique(symbols, return_inverse=True, return_counts=True)
-    if np.any(np.abs(unique) >= 2**31):
+    if unique[0] <= -(2**31) or unique[-1] >= 2**31:
         raise CompressionError("huffman symbols must fit in int32")
     keep = np.argsort(counts)[::-1][: max_alphabet - 1]
     kept_unique = np.zeros(unique.size, dtype=bool)
     kept_unique[keep] = True
-    frequencies: dict[int, int] = {
-        int(unique[i]): int(counts[i]) for i in keep
-    }
-    n_escaped = n - sum(frequencies.values())
+    coded = unique[kept_unique]
+    coded_counts = counts[kept_unique]
+    n_escaped = n - int(coded_counts.sum())
     if n_escaped > 0:
-        frequencies[_ESCAPE] = n_escaped
-    lengths = _code_lengths(frequencies)
-    codes = _canonical_codes(lengths)
+        # The escape sentinel sorts below every int32 symbol.
+        coded = np.concatenate([[_ESCAPE], coded])
+        coded_counts = np.concatenate([[n_escaped], coded_counts])
+    lengths = _code_lengths(coded_counts)
+    order, canonical = _canonical_codes(coded, lengths)
+    codes = np.empty(coded.size, dtype=np.uint64)
+    codes[order] = canonical
 
-    # Vectorized mapping: per-unique code/length, ESCAPE where dropped.
-    escape_code, escape_length = codes.get(_ESCAPE, (0, 0))
-    unique_code = np.empty(unique.size, dtype=np.uint64)
-    unique_length = np.empty(unique.size, dtype=np.int64)
-    for i, symbol in enumerate(unique):
-        entry = codes.get(int(symbol))
-        if entry is None:
-            unique_code[i], unique_length[i] = escape_code, escape_length
-        else:
-            unique_code[i], unique_length[i] = entry
+    # One gather maps every value to its code; dropped values get ESCAPE's.
+    escape = int(n_escaped > 0)
+    unique_code = np.full(unique.size, codes[0] if escape else 0, dtype=np.uint64)
+    unique_length = np.full(unique.size, lengths[0] if escape else 0, dtype=np.int64)
+    unique_code[kept_unique] = codes[escape:]
+    unique_length[kept_unique] = lengths[escape:]
     values = unique_code[inverse]
     value_lengths = unique_length[inverse]
 
     if n_escaped > 0:
-        # Append the raw 32-bit value after each escape code.
-        escaped_mask = ~kept_unique[inverse]
-        raw = (symbols[escaped_mask].astype(np.int64) & 0xFFFFFFFF).astype(np.uint64)
-        merged_values = np.empty(n + int(escaped_mask.sum()), dtype=np.uint64)
-        merged_lengths = np.empty_like(merged_values, dtype=np.int64)
-        positions = np.arange(n) + np.cumsum(escaped_mask) - escaped_mask
-        merged_values[positions] = values
-        merged_lengths[positions] = value_lengths
-        raw_positions = positions[escaped_mask] + 1
-        merged_values[raw_positions] = raw
-        merged_lengths[raw_positions] = 32
-        values, value_lengths = merged_values, merged_lengths
+        values, value_lengths = _append_raw(
+            symbols, ~kept_unique[inverse], values, value_lengths
+        )
 
     payload, total_bits = pack_codes(values, value_lengths)
-    header = [_MAGIC, struct.pack("<IH", n, len(lengths))]
-    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
-        header.append(struct.pack("<iB", symbol, length))
-    header.append(struct.pack("<Q", total_bits))
-    return b"".join(header) + payload
+    header = np.empty(coded.size, dtype=_HEADER_DTYPE)
+    header["symbol"] = coded[order]
+    header["length"] = lengths[order]
+    return b"".join(
+        [
+            _MAGIC,
+            struct.pack("<IH", n, coded.size),
+            header.tobytes(),
+            struct.pack("<Q", total_bits),
+            payload,
+        ]
+    )
+
+
+def _append_raw(
+    symbols: np.ndarray,
+    escaped_mask: np.ndarray,
+    values: np.ndarray,
+    value_lengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Insert the raw 32-bit value after each escape code."""
+    escaped = np.flatnonzero(escaped_mask)
+    raw_slots = escaped + np.arange(1, escaped.size + 1)
+    coded_slots = np.ones(symbols.size + escaped.size, dtype=bool)
+    coded_slots[raw_slots] = False
+    merged_values = np.empty(coded_slots.size, dtype=np.uint64)
+    merged_lengths = np.empty(coded_slots.size, dtype=np.int64)
+    merged_values[coded_slots] = values
+    merged_lengths[coded_slots] = value_lengths
+    merged_values[raw_slots] = symbols[escaped] & 0xFFFFFFFF
+    merged_lengths[raw_slots] = 32
+    return merged_values, merged_lengths
 
 
 def _build_decode_tables(
-    lengths: dict[int, int]
+    symbols: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """65536-entry prefix tables: symbol, fused position advance, escape len.
 
@@ -165,19 +258,25 @@ def _build_decode_tables(
     length, so one gather per bit position yields the full next-position
     function regardless of escapes.
     """
-    codes = _canonical_codes(lengths)
+    if symbols.size == 0:
+        raise CompressionError("huffman header lists no symbols")
+    if lengths.min() < 1 or lengths.max() > _MAX_CODE_LENGTH:
+        raise CompressionError("huffman code lengths must lie in [1, 16]")
+    order, codes = _canonical_codes(symbols, lengths)
+    ranked = lengths[order]
+    # Canonical codes tile the prefix space from 0 in (length, symbol)
+    # order, so each table is one np.repeat over the code widths.
+    filled = int(codes[-1] + 1) << (_MAX_CODE_LENGTH - int(ranked[-1]))
+    if filled > 2**_MAX_CODE_LENGTH:
+        raise CompressionError("huffman code lengths violate the Kraft inequality")
+    widths = 1 << (_MAX_CODE_LENGTH - ranked)
+    ranked_symbols = symbols[order]
+    escaped = ranked_symbols == _ESCAPE
     table_symbol = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int32)
     advance = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int32)
-    escape_length: int | None = None
-    for symbol, (code, length) in codes.items():
-        start = code << (_MAX_CODE_LENGTH - length)
-        end = (code + 1) << (_MAX_CODE_LENGTH - length)
-        table_symbol[start:end] = symbol
-        if symbol == _ESCAPE:
-            escape_length = length
-            advance[start:end] = length + 32
-        else:
-            advance[start:end] = length
+    table_symbol[:filled] = np.repeat(ranked_symbols, widths)
+    advance[:filled] = np.repeat(ranked + 32 * escaped, widths)
+    escape_length = int(ranked[escaped][0]) if escaped.any() else None
     return table_symbol, advance, escape_length
 
 
@@ -185,13 +284,10 @@ def _decode_tables_for_header(header: bytes, n_alphabet: int):
     """Cached decode tables keyed by the raw lengths header bytes."""
 
     def build():
-        lengths: dict[int, int] = {}
-        offset = 0
-        for __ in range(n_alphabet):
-            symbol, length = struct.unpack_from("<iB", header, offset)
-            lengths[symbol] = length
-            offset += 5
-        return _build_decode_tables(lengths)
+        entries = np.frombuffer(header, dtype=_HEADER_DTYPE, count=n_alphabet)
+        return _build_decode_tables(
+            entries["symbol"].astype(np.int64), entries["length"].astype(np.int64)
+        )
 
     return get_memo("huffman_tables", maxsize=64).get(bytes(header), build)
 
@@ -293,6 +389,105 @@ def huffman_decode(blob: bytes) -> np.ndarray:
     return out
 
 
+def _code_lengths_reference(frequencies: dict[int, int]) -> dict[int, int]:
+    """Heap-built Huffman code lengths per symbol, length-limited to 16 bits."""
+    if len(frequencies) == 1:
+        return {next(iter(frequencies)): 1}
+    heap: list[tuple[int, int, list[int]]] = []
+    for tiebreak, (symbol, freq) in enumerate(sorted(frequencies.items())):
+        heapq.heappush(heap, (freq, tiebreak, [symbol]))
+    lengths = {symbol: 0 for symbol in frequencies}
+    counter = len(frequencies)
+    while len(heap) > 1:
+        f1, __, group1 = heapq.heappop(heap)
+        f2, __, group2 = heapq.heappop(heap)
+        for symbol in group1 + group2:
+            lengths[symbol] += 1
+        counter += 1
+        heapq.heappush(heap, (f1 + f2, counter, group1 + group2))
+    # Length-limit: clamp overlong codes, then restore the Kraft sum by
+    # deepening the shallowest cheap symbols (zlib-style fix-up).
+    capped = {s: min(l, _MAX_CODE_LENGTH) for s, l in lengths.items()}
+    kraft = sum(2 ** (_MAX_CODE_LENGTH - l) for l in capped.values())
+    budget = 2**_MAX_CODE_LENGTH
+    if kraft > budget:
+        # Deepen symbols ordered by ascending frequency so common symbols
+        # keep short codes.
+        order = sorted(capped, key=lambda s: (frequencies[s], s))
+        index = 0
+        while kraft > budget:
+            symbol = order[index % len(order)]
+            index += 1
+            if capped[symbol] < _MAX_CODE_LENGTH:
+                kraft -= 2 ** (_MAX_CODE_LENGTH - capped[symbol] - 1)
+                capped[symbol] += 1
+    return capped
+
+
+def _canonical_codes_reference(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Assign canonical (code, length) pairs sorted by (length, symbol)."""
+    code = 0
+    previous_length = 0
+    table: dict[int, tuple[int, int]] = {}
+    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
+        code <<= length - previous_length
+        table[symbol] = (code, length)
+        code += 1
+        previous_length = length
+    return table
+
+
+def _encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
+    """The original encoder: heap code lengths, dict codes, per-bit packer.
+
+    Kept as the ground truth for the vectorized path: property tests
+    assert :func:`huffman_encode` produces byte-identical blobs.
+    """
+    max_alphabet = check_max_alphabet(max_alphabet)
+    symbols = np.asarray(symbols, dtype=np.int64).ravel()
+    n = symbols.size
+    if n == 0:
+        return _MAGIC + struct.pack("<IH", 0, 0)
+    unique, inverse, counts = np.unique(symbols, return_inverse=True, return_counts=True)
+    if np.any(np.abs(unique) >= 2**31):
+        raise CompressionError("huffman symbols must fit in int32")
+    keep = np.argsort(counts)[::-1][: max_alphabet - 1]
+    kept_unique = np.zeros(unique.size, dtype=bool)
+    kept_unique[keep] = True
+    frequencies: dict[int, int] = {
+        int(unique[i]): int(counts[i]) for i in keep
+    }
+    n_escaped = n - sum(frequencies.values())
+    if n_escaped > 0:
+        frequencies[_ESCAPE] = n_escaped
+    lengths = _code_lengths_reference(frequencies)
+    codes = _canonical_codes_reference(lengths)
+
+    escape_code, escape_length = codes.get(_ESCAPE, (0, 0))
+    unique_code = np.empty(unique.size, dtype=np.uint64)
+    unique_length = np.empty(unique.size, dtype=np.int64)
+    for i, symbol in enumerate(unique):
+        entry = codes.get(int(symbol))
+        if entry is None:
+            unique_code[i], unique_length[i] = escape_code, escape_length
+        else:
+            unique_code[i], unique_length[i] = entry
+    values = unique_code[inverse]
+    value_lengths = unique_length[inverse]
+
+    if n_escaped > 0:
+        values, value_lengths = _append_raw(
+            symbols, ~kept_unique[inverse], values, value_lengths
+        )
+
+    payload, total_bits = _pack_codes_reference(values, value_lengths)
+    header = [_MAGIC, struct.pack("<IH", n, len(lengths))]
+    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
+        header.append(struct.pack("<iB", symbol, length))
+    header.append(struct.pack("<Q", total_bits))
+    return b"".join(header) + payload
+
+
 def _decode_reference(blob: bytes) -> np.ndarray:
     """The original scalar decoder, one table hit per symbol.
 
@@ -313,7 +508,7 @@ def _decode_reference(blob: bytes) -> np.ndarray:
         offset += 5
     (total_bits,) = struct.unpack_from("<Q", blob, offset)
     offset += 8
-    codes = _canonical_codes(lengths)
+    codes = _canonical_codes_reference(lengths)
 
     # 16-bit prefix lookup table: prefix -> (symbol, length).
     table_symbol = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int64)

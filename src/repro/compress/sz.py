@@ -26,7 +26,7 @@ from .base import (
     absolute_tolerance,
     guarded_pointwise_bound,
 )
-from .huffman import huffman_decode, huffman_encode
+from .huffman import check_max_alphabet, huffman_decode, huffman_encode
 
 __all__ = ["SZCompressor"]
 
@@ -151,7 +151,7 @@ class SZCompressor(Compressor):
         Dyadic stride of the raw-stored anchor grid (power of two).
         Larger strides mean fewer raw anchors and deeper hierarchies.
     max_alphabet:
-        Alphabet cap handed to the Huffman stage.
+        Alphabet cap handed to the Huffman stage, in ``[1, 65535]``.
     """
 
     name = "sz"
@@ -172,7 +172,7 @@ class SZCompressor(Compressor):
                 f"interpolation must be linear/cubic/dynamic, got {interpolation!r}"
             )
         self.anchor_stride = int(anchor_stride)
-        self.max_alphabet = int(max_alphabet)
+        self.max_alphabet = check_max_alphabet(max_alphabet)
         self.interpolation = interpolation
 
     def _choose_prediction(

@@ -1,6 +1,6 @@
 """Worker-pool execution for the chunked I/O hot paths.
 
-The heavy kernels (interpolation passes, ``np.packbits``/gathers in the
+The heavy kernels (interpolation passes, bit packing and gathers in the
 entropy stage, matmuls in inference) are numpy calls that release the
 GIL, so a thread pool overlaps chunk work on multi-core hosts without
 any serialization cost for the arrays.
