@@ -240,8 +240,8 @@ def propagate_chain_trajectory(
     bound's predicted envelope, so it needs the recurrence's trajectory,
     not just its endpoint.  Element ``l`` bounds the perturbation of the
     activation leaving layer ``l`` (after that layer's activation
-    function) — exactly the point where a lockstep dual-path forward can
-    measure the real error.
+    function) — exactly the point where the audit's hooks on the clean and
+    quantized forwards measure the real error.
 
     Only defined for pure chains (MLP-style specs): a residual graph has
     no single "after layer l" cut, so layerwise auditing falls back to

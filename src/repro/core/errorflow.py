@@ -230,7 +230,8 @@ class ErrorFlowAnalyzer:
         layer ``l`` under the given input error and weight format; the
         last element equals :meth:`combined_bound`.  Chain (MLP-style)
         specs only — the audit layer uses this as the per-layer predicted
-        envelope against which observed lockstep errors are compared.
+        envelope against which the observed clean-vs-quantized errors are
+        compared.
         Raises :class:`~repro.exceptions.ConfigurationError` on residual
         graphs.
         """

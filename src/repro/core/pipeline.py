@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,12 @@ from ..resilience.supervisor import SupervisedPool, fork_available
 from .planner import InferencePlan
 
 __all__ = ["PipelineResult", "InferencePipeline", "split_chunks"]
+
+
+def _audit_skipped(exc: Exception) -> None:
+    get_logger("pipeline").warning(
+        "audit skipped: could not evaluate the layerwise envelope", error=str(exc)
+    )
 
 
 def split_chunks(
@@ -347,24 +354,39 @@ class InferencePipeline:
                 mem_before = mem_after
 
             samples = samples_from_fields(reconstructed)
-            with tracer.span(
-                "pipeline.inference",
-                fmt=self.plan.fmt.name,
-                samples=int(len(samples)),
-                predicted_bound=float(self.plan.quant_bound),
-            ) as inference_span:
-                start = time.perf_counter()
-                outputs = self._forward_quant(samples)
-                inference_seconds = time.perf_counter() - start
-            if memory_stages is not None:
-                mem_after = memory_snapshot()
-                memory_stages["inference"] = memory_top_diff(
-                    mem_before, mem_after, top=profiler.memory_top
-                )
+            auditor = get_auditor()
+            recorder = self._audit_recorder_for(samples, auditor) if auditor.enabled else None
+            audit_record = None
+            # The audit scores the two forwards below through hooks on the
+            # shared models; the lock keeps a concurrent execute's forwards
+            # out of the capture until it has been scored.
+            with self._audit_lock if recorder else nullcontext():
+                with recorder.capture() if recorder else nullcontext():
+                    with tracer.span(
+                        "pipeline.inference",
+                        fmt=self.plan.fmt.name,
+                        samples=int(len(samples)),
+                        predicted_bound=float(self.plan.quant_bound),
+                    ) as inference_span:
+                        start = time.perf_counter()
+                        outputs = self._forward_quant(samples)
+                        inference_seconds = time.perf_counter() - start
+                    if memory_stages is not None:
+                        mem_after = memory_snapshot()
+                        memory_stages["inference"] = memory_top_diff(
+                            mem_before, mem_after, top=profiler.memory_top
+                        )
 
-            self.model.eval()
-            reference_samples = samples_from_fields(fields)
-            reference = self._forward_ref(reference_samples)
+                    self.model.eval()
+                    reference_samples = samples_from_fields(fields)
+                    reference = self._forward_ref(reference_samples)
+                if recorder is not None:
+                    try:  # an audit never kills the run it observes
+                        audit_record = recorder.audit(
+                            reference_samples, samples, loose_below=auditor.loose_below
+                        )
+                    except ReproError as exc:
+                        _audit_skipped(exc)
             delta = reference_samples - samples
             input_error_linf = float(np.abs(delta).max()) if delta.size else 0.0
             input_error_l2_max = (
@@ -436,67 +458,47 @@ class InferencePipeline:
                     tracer, metrics, result, spans, inference_span, guard_span, root,
                     observed_input_error=achieved,
                 )
-            auditor = get_auditor()
-            if auditor.enabled:
-                self._audit_execution(auditor, result, reference_samples, samples)
+            if audit_record is not None:
+                self._record_audit(auditor, audit_record, result)
         return result
 
-    def _audit_execution(
-        self,
-        auditor,
-        result: PipelineResult,
-        reference_samples: np.ndarray,
-        samples: np.ndarray,
-    ) -> None:
-        """Layerwise predicted-vs-observed audit of one execution.
+    def _record_audit(self, auditor, record: AuditRecord, result: PipelineResult) -> None:
+        """Attach run provenance to a scored audit and record it."""
+        record.codec = self.codec.name
+        record.fmt = self.plan.fmt.name
+        record.norm = self.plan.norm
+        record.qoi_tolerance = float(self.plan.qoi_tolerance)
+        record.input_tolerance = float(self.plan.input_tolerance)
+        integrity = result.extra["integrity"]
+        record.metadata = {
+            "compression_ratio": float(result.compression_ratio),
+            "degraded": bool(integrity["degraded"]),
+            "recoveries": int(integrity["recoveries"]),
+            "samples": int(len(result.outputs)),
+        }
+        auditor.record_run(record)
+        result.extra["audit"] = record.to_dict()
 
-        Only reached when a live auditor is installed (the disabled cost
-        is one attribute check in :meth:`execute`).  Runs both models
-        again with capture hooks — roughly doubling inference cost for
-        the audited run — and never kills the run it observes: audit
-        failures degrade to a warning.
-        """
-        try:
-            # One audit at a time: the recorder attaches capture hooks to
-            # the shared model, so concurrent chunk workers would observe
-            # each other's activations.
-            with self._audit_lock:
-                record = self._audit_recorder_for(reference_samples, auditor).audit(
-                    reference_samples, samples, loose_below=auditor.loose_below
-                )
-            record.codec = self.codec.name
-            record.fmt = self.plan.fmt.name
-            record.norm = self.plan.norm
-            record.qoi_tolerance = float(self.plan.qoi_tolerance)
-            record.input_tolerance = float(self.plan.input_tolerance)
-            integrity = result.extra.get("integrity", {})
-            record.metadata = {
-                "compression_ratio": float(result.compression_ratio),
-                "degraded": bool(integrity.get("degraded", False)),
-                "recoveries": int(integrity.get("recoveries", 0)),
-                "samples": int(len(samples)),
-            }
-            auditor.record_run(record)
-            result.extra["audit"] = record.to_dict()
-        except ReproError as exc:
-            get_logger("pipeline").warning(
-                "audit skipped: could not evaluate the layerwise envelope",
-                error=str(exc),
-            )
-
-    def _audit_recorder_for(self, reference_samples: np.ndarray, auditor):
-        """Cached lockstep recorder (spec extraction pays once per
-        pipeline).  Caller must hold ``_audit_lock``."""
+    def _audit_recorder_for(self, samples: np.ndarray, auditor):
+        """Cached recorder (spec extraction pays once per pipeline), or
+        ``None`` with a warning when this model's envelope cannot be
+        evaluated."""
         if self._audit_recorder is None:
             from ..obs.audit import LayerwiseErrorRecorder
 
-            n_input = int(np.prod(np.asarray(reference_samples).shape[1:]))
-            self._audit_recorder = LayerwiseErrorRecorder(
+            n_input = int(np.prod(np.asarray(samples).shape[1:]))
+            recorder = LayerwiseErrorRecorder(
                 self.model,
                 self.quantized,
                 n_input=n_input or None,
                 quant_safety=auditor.quant_safety,
             )
+            try:
+                recorder.supports_layerwise()  # builds the bound analyzer
+            except ReproError as exc:
+                _audit_skipped(exc)
+                return None
+            self._audit_recorder = recorder
         return self._audit_recorder
 
     def execute_chunked(
@@ -559,12 +561,8 @@ class InferencePipeline:
             ShardCoordinator` (configured by ``distrib``), degrading to
             the local supervised pool if no worker joins; ``"auto"``
             (default) — process pool when ``workers > 1`` and fork is
-            available, else serial.  (The GIL-bound thread pool was
-            removed as an inference executor: BENCH_pr4 showed it yields
-            no speedup.  :func:`repro.perf.parallel.parallel_map` remains
-            for chunked I/O, where threads do overlap.)  The executor
-            actually used and the one requested are both recorded in
-            ``result.extra["chunked"]``.
+            available, else serial.  The executor actually used and the
+            one requested are both recorded in ``result.extra["chunked"]``.
         checkpoint:
             Directory for a durable
             :class:`~repro.io.checkpoint.CheckpointJournal`: every
@@ -674,6 +672,28 @@ class InferencePipeline:
                 )
             pending = [i for i in range(len(chunks)) if i not in results]
 
+            def on_chunk(index, result, outcome, seconds, quarantined) -> None:
+                # adopt the records pool workers audited with a detached auditor
+                if (
+                    not quarantined
+                    and not outcome.inline
+                    and auditor.enabled
+                    and "audit" in result.extra
+                ):
+                    record = auditor.adopt(AuditRecord.from_dict(result.extra["audit"]))
+                    result.extra["audit"] = record.to_dict()
+                results[index] = result
+                if journal is not None:
+                    self._journal_chunk(
+                        journal,
+                        index,
+                        result,
+                        digests[index],
+                        attempts=outcome.attempts,
+                        quarantined=quarantined,
+                        seconds=seconds,
+                    )
+
             supervision = None
             distrib_summary = None
             if pending and executor == "distributed":
@@ -687,10 +707,7 @@ class InferencePipeline:
                         chunks,
                         pending,
                         samples_from_fields,
-                        journal,
-                        digests,
-                        auditor,
-                        results,
+                        on_chunk,
                         n_workers=n_workers,
                         task_timeout=task_timeout,
                         max_task_retries=max_task_retries,
@@ -701,10 +718,7 @@ class InferencePipeline:
                     chunks,
                     pending,
                     samples_from_fields,
-                    journal,
-                    digests,
-                    auditor,
-                    results,
+                    on_chunk,
                     n_workers=n_workers,
                     task_timeout=task_timeout,
                     max_task_retries=max_task_retries,
@@ -815,10 +829,7 @@ class InferencePipeline:
         if executor == "auto":
             if n_workers <= 1:
                 return "serial"
-            # BENCH_pr4 showed the GIL-bound thread pool yields no
-            # inference speedup, so it is not an executor (it remains for
-            # chunked I/O in repro.perf.parallel) — process if fork
-            # exists, else serial.  "distributed" stays explicit.
+            # "distributed" stays explicit
             return "process" if fork_available() else "serial"
         return executor
 
@@ -1016,22 +1027,21 @@ class InferencePipeline:
         chunks,
         pending: "list[int]",
         samples_from_fields,
-        journal: "CheckpointJournal | None",
-        digests: "list[str] | None",
-        auditor,
-        results: "dict[int, PipelineResult]",
+        on_chunk,
         *,
-        n_workers: int,
+        n_workers: "int | None",
         task_timeout: "float | None",
         max_task_retries: int,
         chaos,
+        label: str = "pipeline",
     ) -> dict:
         """Run pending chunks on the supervised process pool.
 
-        Fills ``results`` in place and returns the supervision summary.
-        Quarantined chunks are re-run serially in the parent in degraded
-        lossless mode — the run completes with every chunk certified,
-        some of them at compression ratio 1.
+        Calls ``on_chunk(index, result, outcome, seconds, quarantined)``
+        here once per finished chunk and returns the supervision summary.
+        Quarantined chunks are re-run serially here in degraded lossless
+        mode — the run completes with every chunk certified, some of them
+        at compression ratio 1.
         """
 
         def task_fn(index: int) -> PipelineResult:
@@ -1041,28 +1051,10 @@ class InferencePipeline:
             # Workers screen internally, but a fault (or injected
             # corruption) between the worker's guard and the parent's
             # queue must not go unnoticed: re-screen on arrival.
-            if self.screen:
-                screen_finite(result.outputs, stage="chunk", name="outputs")
+            screen_finite(result.outputs, stage="chunk", name="outputs")
 
         def on_result(task_id: int, result, outcome) -> None:
-            index = pending[task_id]
-            if (
-                not outcome.inline
-                and auditor.enabled
-                and "audit" in result.extra
-            ):
-                record = auditor.adopt(AuditRecord.from_dict(result.extra["audit"]))
-                result.extra["audit"] = record.to_dict()
-            results[index] = result
-            if journal is not None:
-                self._journal_chunk(
-                    journal,
-                    index,
-                    result,
-                    digests[index],
-                    attempts=outcome.attempts,
-                    seconds=outcome.seconds,
-                )
+            on_chunk(pending[task_id], result, outcome, outcome.seconds, False)
 
         pool = SupervisedPool(
             task_fn,
@@ -1071,15 +1063,17 @@ class InferencePipeline:
             retry=RetryPolicy(max_retries=max_task_retries),
             chaos=chaos,
             validate=validate if self.screen else None,
-            label="pipeline",
+            label=label,
         )
         report = pool.run(pending, on_result=on_result)
 
         quarantined_chunks = [pending[pos] for pos in report.quarantined]
-        for index in quarantined_chunks:
-            outcome = report.outcomes[pending.index(index)]
+        for position in report.quarantined:
+            index = pending[position]
+            outcome = report.outcomes[position]
             get_logger("pipeline").warning(
                 "quarantined chunk degrading to fallback-lossless in-process",
+                label=label,
                 chunk=index,
                 attempts=outcome.attempts,
                 reason=outcome.error,
@@ -1090,17 +1084,7 @@ class InferencePipeline:
                 samples_from_fields=samples_from_fields,
                 force_lossless=True,
             )
-            results[index] = result
-            if journal is not None:
-                self._journal_chunk(
-                    journal,
-                    index,
-                    result,
-                    digests[index],
-                    attempts=outcome.attempts,
-                    quarantined=True,
-                    seconds=time.perf_counter() - started,
-                )
+            on_chunk(index, result, outcome, time.perf_counter() - started, True)
 
         summary = report.summary()
         summary["quarantined"] = quarantined_chunks

@@ -47,8 +47,6 @@ from ..obs.prof import diff_rows
 from ..obs.trace import Tracer
 from ..resilience.inject import ChaosInjector, ChaosPartition
 from ..resilience.retry import RetryPolicy, retry_call
-from ..resilience.supervisor import SupervisedPool
-from ..resilience.guards import screen_finite
 from .protocol import (
     PROTOCOL_VERSION,
     FrameSocket,
@@ -565,63 +563,31 @@ class ShardWorker:
         return _TranslatedChaos(ChaosInjector(rules), chunk_ids)
 
     def _compute(self, chunk_ids: "list[int]") -> None:
-        """PR-6 semantics, locally: supervised pool + journal + quarantine."""
+        """The pipeline's supervised runner, journaling into ``_local``."""
         pipeline = self.pipeline
 
-        def task_fn(index: int):
-            return pipeline.execute(
-                self.chunks[index], samples_from_fields=self.samples_from_fields
-            )
-
-        def validate(task_id: int, result) -> None:
-            if pipeline.screen:
-                screen_finite(result.outputs, stage="chunk", name="outputs")
-
-        def on_result(task_id: int, result, outcome) -> None:
-            index = chunk_ids[task_id]
+        def on_chunk(index, result, outcome, seconds, quarantined) -> None:
             self._local[index] = pipeline._journal_chunk(
                 self._journal,
                 index,
                 result,
                 self.digests[index],
                 attempts=outcome.attempts,
-                seconds=outcome.seconds,
+                quarantined=quarantined,
+                seconds=seconds,
             )
 
-        pool = SupervisedPool(
-            task_fn,
-            workers=self.workers,
+        pipeline._run_chunks_supervised(
+            self.chunks,
+            chunk_ids,
+            self.samples_from_fields,
+            on_chunk,
+            n_workers=self.workers,
             task_timeout=self.task_timeout,
-            retry=RetryPolicy(max_retries=self.max_task_retries),
+            max_task_retries=self.max_task_retries,
             chaos=self._pool_chaos(chunk_ids),
-            validate=validate if pipeline.screen else None,
             label=self.name,
         )
-        report = pool.run(chunk_ids, on_result=on_result)
-        for position in report.quarantined:
-            index = chunk_ids[position]
-            outcome = report.outcomes[position]
-            _LOG.warning(
-                "quarantined chunk degrading to fallback-lossless in-process",
-                worker=self.name,
-                chunk=index,
-                attempts=outcome.attempts,
-            )
-            started = time.perf_counter()
-            result = pipeline.execute(
-                self.chunks[index],
-                samples_from_fields=self.samples_from_fields,
-                force_lossless=True,
-            )
-            self._local[index] = pipeline._journal_chunk(
-                self._journal,
-                index,
-                result,
-                self.digests[index],
-                attempts=outcome.attempts,
-                quarantined=True,
-                seconds=time.perf_counter() - started,
-            )
 
     def _artifact_bytes(self, entry: dict) -> bytes:
         path = os.path.join(self._journal.path, entry["artifact"])

@@ -16,7 +16,7 @@ from ..exceptions import ShapeError
 from .functional import col2im, im2col
 from .init import kaiming_uniform
 from .module import Module, Parameter
-from .spectral import PowerIterationState, spectral_norm
+from .spectral import ConvergedSigma, PowerIterationState, spectral_norm
 
 __all__ = ["Conv2d", "SpectralConv2d"]
 
@@ -144,8 +144,7 @@ class SpectralConv2d(Conv2d):
         self.alpha = Parameter(np.asarray([alpha_init], dtype=np.float32))
         self._power = PowerIterationState.for_matrix(self.matricized_weight(), rng)
         self._cached: tuple[np.ndarray, float] | None = None
-        self._eval_key: tuple | None = None
-        self._eval_cache: tuple[np.ndarray, float] | None = None
+        self._converged = ConvergedSigma()
 
     @property
     def spectral_alpha(self) -> float:
@@ -153,26 +152,22 @@ class SpectralConv2d(Conv2d):
         return abs(float(self.alpha.data[0]))
 
     def effective_weight(self) -> np.ndarray:
-        sigma = max(spectral_norm(self.matricized_weight()), 1e-12)
-        return (self.matricized_weight() / sigma) * self.alpha.data[0]
+        normalized, __ = self._converged.get(self.weight, self.matricized_weight())
+        return normalized * self.alpha.data[0]
 
     def _sigma_and_normalized(self) -> tuple[np.ndarray, float]:
         """Training: one power-iteration step; eval: converged sigma.
 
         The error bound assumes the deployed kernel's matricized spectral
         norm is exactly ``|alpha|``, so evaluation normalizes by the fully
-        converged estimate (cached until the weights change).
+        converged estimate, cached per weight version
+        (:class:`~repro.nn.spectral.ConvergedSigma`).
         """
         raw = self.matricized_weight()
         if self.training:
             sigma = max(self._power.step(raw, n_steps=1), 1e-12)
             return raw / sigma, sigma
-        key = (id(self.weight.data), self.weight.data.shape)
-        if self._eval_key != key:
-            sigma = max(spectral_norm(raw), 1e-12)
-            self._eval_cache = (raw / sigma, sigma)
-            self._eval_key = key
-        return self._eval_cache
+        return self._converged.get(self.weight, raw)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         normalized, sigma = self._sigma_and_normalized()

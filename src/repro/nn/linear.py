@@ -13,7 +13,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from . import init as _init
 from .module import Module, Parameter
-from .spectral import PowerIterationState, spectral_norm
+from .spectral import ConvergedSigma, PowerIterationState, spectral_norm
 
 __all__ = ["Linear", "SpectralLinear"]
 
@@ -138,8 +138,7 @@ class SpectralLinear(Module):
         self._power = PowerIterationState.for_matrix(self.raw_weight.data, rng)
         self._x: np.ndarray | None = None
         self._cached: tuple[np.ndarray, float] | None = None
-        self._eval_key: tuple | None = None
-        self._eval_cache: tuple[np.ndarray, float] | None = None
+        self._converged = ConvergedSigma()
         self._weight_key: tuple | None = None
         self._eval_weight: np.ndarray | None = None
 
@@ -148,21 +147,14 @@ class SpectralLinear(Module):
         """Return ``(V / sigma, sigma)``.
 
         Training uses one cheap power-iteration step (the estimate tracks
-        the slowly-moving weights).  Evaluation must normalize by the
-        *converged* spectral norm: the error bound assumes the deployed
-        weight has spectral norm exactly ``|alpha|``, so an approximate
-        sigma here would silently break the guarantee.  The converged
-        result is cached until the weights change.
+        the slowly-moving weights).  Evaluation normalizes by the
+        *converged* spectral norm, cached per weight version
+        (:class:`~repro.nn.spectral.ConvergedSigma`).
         """
         if self.training:
             sigma = max(self._power.step(self.raw_weight.data, n_steps=1), 1e-12)
             return self.raw_weight.data / sigma, sigma
-        key = (id(self.raw_weight.data), self.raw_weight.version)
-        if self._eval_key != key:
-            sigma = max(spectral_norm(self.raw_weight.data), 1e-12)
-            self._eval_cache = (self.raw_weight.data / sigma, sigma)
-            self._eval_key = key
-        return self._eval_cache
+        return self._converged.get(self.raw_weight, self.raw_weight.data)
 
     def _eval_matrix(self) -> np.ndarray:
         """``normalized.T * alpha``, the matrix an eval forward multiplies by.
@@ -172,16 +164,17 @@ class SpectralLinear(Module):
         counter and forces a recompute.
         """
         normalized, __ = self._sigma_and_normalized()
-        key = (self._eval_key, id(self.alpha.data), self.alpha.version)
+        key = (self._converged.key, id(self.alpha.data), self.alpha.version)
         if self._weight_key != key:
             self._eval_weight = normalized.T * self.alpha.data[0]
             self._weight_key = key
         return self._eval_weight
 
     def effective_weight(self) -> np.ndarray:
-        """``alpha * V / sigma(V)`` with a converged sigma estimate."""
-        sigma = max(spectral_norm(self.raw_weight.data), 1e-12)
-        return (self.raw_weight.data / sigma) * self.alpha.data[0]
+        """``alpha * V / sigma(V)`` with the converged sigma the eval
+        forward uses (one power iteration per weight version)."""
+        normalized, __ = self._converged.get(self.raw_weight, self.raw_weight.data)
+        return normalized * self.alpha.data[0]
 
     def effective_bias(self) -> np.ndarray | None:
         return None if self.bias is None else self.bias.data

@@ -245,8 +245,8 @@ class Module:
         """Call ``hook(module, input, output)`` after every forward pass.
 
         Hooks observe; their return value is ignored and cannot alter the
-        data flow.  The audit layer's lockstep recorder uses them to
-        capture intermediate activations without touching layer code.
+        data flow.  The audit layer's recorder uses them to capture the
+        pipeline's intermediate activations without touching layer code.
         Remove via the returned :class:`HookHandle`.
         """
         key = next(_HOOK_IDS)

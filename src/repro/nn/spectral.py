@@ -15,7 +15,9 @@ This module provides:
   power iteration of von Mises & Pollaczek-Geiringer (paper ref. [17]);
 * :class:`PowerIterationState` — persistent singular-vector estimates used
   during training, one normalization step per forward pass in the style of
-  Miyato et al. (paper ref. [19]).
+  Miyato et al. (paper ref. [19]);
+* :class:`ConvergedSigma` — one spectral layer's converged sigma, cached
+  per weight version.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["spectral_norm", "spectral_norm_exact", "PowerIterationState"]
+__all__ = ["spectral_norm", "spectral_norm_exact", "ConvergedSigma", "PowerIterationState"]
 
 
 def spectral_norm(
@@ -88,6 +90,29 @@ def spectral_norm_exact(matrix: np.ndarray) -> float:
     if matrix.size == 0:
         return 0.0
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+class ConvergedSigma:
+    """``(W / sigma(W), sigma(W))`` with a converged sigma, per weight version.
+
+    The bound assumes a spectral layer's deployed weight has spectral norm
+    exactly ``|alpha|``, so its eval forward and ``effective_weight()``
+    both read this converged :func:`spectral_norm`, keyed on
+    ``(id(param.data), param.version)``.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self._value: tuple[np.ndarray, float] | None = None
+
+    def get(self, param, matrix: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(matrix / sigma, sigma)``; ``matrix`` is ``param.data`` as 2-D."""
+        key = (id(param.data), param.version)
+        if self.key != key:
+            sigma = max(spectral_norm(matrix), 1e-12)
+            self._value = (matrix / sigma, sigma)
+            self.key = key
+        return self._value
 
 
 @dataclass

@@ -6,15 +6,20 @@ of the codebase *uses* that prediction (the planner allocates budgets
 with it); this module *checks* it, continuously, on live pipeline
 executions:
 
-* :class:`LayerwiseErrorRecorder` walks the clean and the quantized
-  model through the same batch in lockstep (forward hooks on the
-  top-level :class:`~repro.nn.sequential.Sequential` children of both),
-  measures the observed L2/L-infinity activation error at every segment
-  end — just before the next weight-bearing layer, exactly the points
-  the recurrence of :func:`~repro.core.bounds.propagate_chain_trajectory`
-  bounds — and compares each against the predicted cumulative envelope
-  from :meth:`~repro.core.errorflow.ErrorFlowAnalyzer.layer_bounds`,
-  seeded with the *observed* per-sample input error.
+* :class:`LayerwiseErrorRecorder` scores the forwards the pipeline
+  already runs: while its :meth:`~LayerwiseErrorRecorder.capture` block
+  is open, forward hooks on the top-level
+  :class:`~repro.nn.sequential.Sequential` children of both models that
+  end a segment — just before the next weight-bearing layer, exactly the
+  points the recurrence of
+  :func:`~repro.core.bounds.propagate_chain_trajectory` bounds — record
+  the clean FP32 run on the source samples and the quantized run on the
+  decompressed samples.  It then measures the observed L2/L-infinity
+  activation error at every such point and compares each against the
+  predicted cumulative envelope from
+  :meth:`~repro.core.errorflow.ErrorFlowAnalyzer.layer_bounds`, seeded
+  with the *observed* per-sample input error.  No model forward runs in
+  this module.
 * :class:`AuditRecord` aggregates one run's per-layer verdicts plus a
   QoI-level verdict with full provenance (codec, format, norm, plan
   tolerances, weight version) for persistence and diffing.
@@ -36,8 +41,9 @@ overshoots reality by more than ``1/loose_below`` (tightness below 5 %
 by default — the bound is sound but wasteful), ``ok`` otherwise.
 
 Residual/graph models (no pure chain of linears) fall back to a
-QoI-only audit: the end-to-end bound is still checked, the per-layer
-table is empty and ``layerwise`` is ``False``.
+QoI-only audit: the hooks sit on the two roots, the end-to-end bound is
+still checked, the per-layer table is empty and ``layerwise`` is
+``False``.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..exceptions import ConfigurationError, ShapeError
 from .log import get_logger
 from .registry import RunRegistry
 
@@ -243,28 +250,6 @@ def _max_errors(clean: np.ndarray, perturbed: np.ndarray) -> tuple[float, float]
     )
 
 
-def _collect_child_outputs(sequential, samples: np.ndarray):
-    """Forward ``samples`` once, capturing every top-level child output.
-
-    Uses :meth:`~repro.nn.module.Module.register_forward_hook`, so the
-    model's forward logic is untouched; outputs arrive in execution
-    order, which for a ``Sequential`` is child order.
-    """
-    outputs: list[np.ndarray] = []
-    handles = [
-        child.register_forward_hook(
-            lambda module, inputs, output: outputs.append(output)
-        )
-        for child in sequential
-    ]
-    try:
-        final = sequential(samples)
-    finally:
-        for handle in handles:
-            handle.remove()
-    return outputs, final
-
-
 def _weight_positions(sequential) -> list[int]:
     """Indices of the weight-bearing top-level children, forward order."""
     from ..nn.conv import Conv2d, SpectralConv2d
@@ -278,8 +263,20 @@ def _weight_positions(sequential) -> list[int]:
     ]
 
 
+def _segment_ends(sequential) -> list[int]:
+    """Children whose outputs the trajectory bounds: each segment's end,
+    the output feeding the next weight layer, then the network output."""
+    positions = _weight_positions(sequential)
+    return [position - 1 for position in positions[1:]] + [len(sequential) - 1]
+
+
 class LayerwiseErrorRecorder:
-    """Dual-path lockstep recorder for one (model, quantized model) pair.
+    """Predicted-vs-observed recorder for one (model, quantized model) pair::
+
+        with recorder.capture():
+            model(clean)
+            quantized(perturbed)
+        record = recorder.audit(clean, perturbed)
 
     Parameters
     ----------
@@ -309,6 +306,7 @@ class LayerwiseErrorRecorder:
         self.n_input = n_input
         self.quant_safety = float(quant_safety)
         self._analyzer = None
+        self._captured: "dict | None" = None
 
     @property
     def analyzer(self):
@@ -343,47 +341,79 @@ class LayerwiseErrorRecorder:
             and len(_weight_positions(self.quantized.model)) == n_linears
         )
 
+    @contextmanager
+    def capture(self):
+        """Hook the one clean and one quantized forward run inside the
+        block (on both models' segment-end children when layerwise, on
+        the two roots otherwise) for :meth:`audit` to score."""
+        layerwise = self.supports_layerwise()
+        captured = {"layerwise": layerwise, "clean": [], "quantized": []}
+        if layerwise:
+            points = _segment_ends(self.model)
+            clean_modules = [self.model[point] for point in points]
+            quant_modules = [self.quantized.model[point] for point in points]
+        else:
+            clean_modules, quant_modules = [self.model], [self.quantized.model]
+        self._captured = None
+        handles = [
+            module.register_forward_hook(lambda m, x, output, into=into: into.append(output))
+            for modules, into in (
+                (clean_modules, captured["clean"]),
+                (quant_modules, captured["quantized"]),
+            )
+            for module in modules
+        ]
+        try:
+            yield
+        finally:
+            for handle in handles:
+                handle.remove()
+        self._captured = captured
+
     def audit(
         self,
         clean_samples: np.ndarray,
         perturbed_samples: np.ndarray,
         loose_below: float = DEFAULT_LOOSE_BELOW,
     ) -> AuditRecord:
-        """Run both paths on one batch and score every comparison point.
+        """Score the forwards the last :meth:`capture` observed.
 
-        ``clean_samples`` are the reference model inputs, ``perturbed_samples``
-        the same batch after the lossy round-trip; their difference seeds
-        the predicted envelope, so the comparison isolates *propagation*
-        (did the recurrence cover how the network amplified this exact
-        input error?) from the codec's own contract, which the
-        resilience guards check separately.
+        ``clean_samples`` are the clean model's inputs, ``perturbed_samples``
+        the same batch after the lossy round-trip (the quantized model's
+        inputs); their difference seeds the predicted envelope, so the
+        comparison isolates *propagation* (did the recurrence cover how
+        the network amplified this exact input error?) from the codec's
+        own contract, which the resilience guards check separately.
         """
         clean = np.asarray(clean_samples, dtype=np.float32)
         perturbed = np.asarray(perturbed_samples, dtype=np.float32)
         if clean.shape != perturbed.shape:
-            from ..exceptions import ShapeError
-
             raise ShapeError(
                 f"audit batches disagree: clean {clean.shape} vs "
                 f"perturbed {perturbed.shape}"
             )
+        captured, self._captured = self._captured, None
+        layerwise = bool(captured and captured["layerwise"])
+        expected = len(_segment_ends(self.model)) if layerwise else 1
+        seen = (len(captured["clean"]), len(captured["quantized"])) if captured else (0, 0)
+        if seen != (expected, expected):
+            raise ConfigurationError(
+                f"audit needs one clean and one quantized forward inside "
+                f"capture(); hooks saw {seen[0]} clean / {seen[1]} quantized "
+                f"outputs, expected {expected} of each"
+            )
         input_l2, input_linf = _max_errors(clean, perturbed)
-        formats = self.quantized.formats
 
-        self.model.eval()
-        self.quantized.model.eval()
-        if self.supports_layerwise():
-            layers = self._audit_layerwise(clean, perturbed, input_l2, loose_below)
+        if layerwise:
+            layers = self._audit_layerwise(captured, input_l2, loose_below)
             qoi_predicted = layers[-1].predicted_bound
             qoi_observed = layers[-1].observed_l2
-            layerwise = True
         else:
             layers = []
-            qoi_predicted = float(self.analyzer.combined_bound(input_l2, formats))
-            reference = self.model(clean)
-            outputs = self.quantized(perturbed)
-            qoi_observed, _ = _max_errors(reference, outputs)
-            layerwise = False
+            qoi_predicted = float(
+                self.analyzer.combined_bound(input_l2, self.quantized.formats)
+            )
+            qoi_observed, _ = _max_errors(captured["clean"][0], captured["quantized"][0])
 
         tightness, verdict = classify(qoi_observed, qoi_predicted, loose_below)
         return AuditRecord(
@@ -399,27 +429,15 @@ class LayerwiseErrorRecorder:
         )
 
     def _audit_layerwise(
-        self,
-        clean: np.ndarray,
-        perturbed: np.ndarray,
-        input_l2: float,
-        loose_below: float,
+        self, captured: dict, input_l2: float, loose_below: float
     ) -> list[LayerAudit]:
         bounds = self.analyzer.layer_bounds(input_l2, self.quantized.formats)
-        clean_outputs, _ = _collect_child_outputs(self.model, clean)
-        quant_outputs, _ = _collect_child_outputs(self.quantized.model, perturbed)
-        positions = _weight_positions(self.model)
-        # The trajectory state after linear spec l bounds the activation
-        # error at the *segment end*: the output feeding the next weight
-        # layer (or the network output for the last spec).
-        points = [positions[l + 1] - 1 for l in range(len(positions) - 1)]
-        points.append(len(self.model) - 1)
         names = self.quantized.layer_names
         layers: list[LayerAudit] = []
-        for index, (point, bound) in enumerate(zip(points, bounds)):
-            observed_l2, observed_linf = _max_errors(
-                clean_outputs[point], quant_outputs[point]
-            )
+        for index, (clean, quant, bound) in enumerate(
+            zip(captured["clean"], captured["quantized"], bounds)
+        ):
+            observed_l2, observed_linf = _max_errors(clean, quant)
             tightness, verdict = classify(observed_l2, bound, loose_below)
             layers.append(
                 LayerAudit(
@@ -438,10 +456,10 @@ class LayerwiseErrorRecorder:
 class Auditor:
     """Process-global audit switchboard (live implementation).
 
-    Thread-safe: parallel chunked execution audits every chunk from its
-    worker thread; record appends (memory and registry) are serialized
-    by a lock, and the registry write itself is a single ``O_APPEND``
-    syscall.
+    Record appends (memory and registry) are serialized by a lock; the
+    registry write itself is a single ``O_APPEND`` syscall.  Chunks run
+    in pool workers are audited there by a :meth:`detached` clone and
+    :meth:`adopt`-ed here.
     """
 
     enabled = True
@@ -524,7 +542,9 @@ class Auditor:
             codec=record.codec or "?",
         ).set(record.qoi_tightness)
         for layer in record.layers:
-            metrics.histogram("audit_layer_tightness").observe(layer.tightness)
+            metrics.histogram("audit_layer_tightness", layer=layer.name).observe(
+                layer.tightness
+            )
         violations = record.violations
         if violations:
             metrics.counter("audit_violations_total").inc(len(violations))

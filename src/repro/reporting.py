@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core.errorflow import ErrorFlowAnalyzer
+from .core.graph import _layer_sigma
 from .nn.module import Module
 from .quant.formats import STANDARD_FORMATS
 from .quant.quantizer import quantizable_layers
@@ -33,8 +34,6 @@ def describe_model(model: Module) -> str:
     shape, parameter count, effective spectral norm and FP16/INT8 step
     sizes, plus model totals.
     """
-    from .nn.spectral import spectral_norm
-
     lines = [
         f"{'layer':<28} {'type':<16} {'weight shape':<16} "
         f"{'params':>8} {'sigma':>8} {'q fp16':>10} {'q int8':>10}"
@@ -42,9 +41,7 @@ def describe_model(model: Module) -> str:
     total_params = 0
     for name, layer in quantizable_layers(model):
         weights = np.asarray(layer.effective_weight(), dtype=np.float64)
-        sigma = getattr(layer, "spectral_alpha", None)
-        if sigma is None:
-            sigma = spectral_norm(weights)
+        sigma = _layer_sigma(layer, weights)
         weight_param = getattr(layer, "weight", None) or layer.raw_weight
         params = weight_param.size + (layer.bias.size if layer.bias is not None else 0)
         total_params += params

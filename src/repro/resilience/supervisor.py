@@ -32,8 +32,8 @@ are merged into the parent registry, so `pipeline_executions_total`
 and friends stay accurate across process boundaries.
 
 Ordering guarantee: task ids are list indices and the report exposes
-results in id order, so supervised, threaded and serial execution
-produce identical assembled outputs.
+results in id order, so supervised and serial execution produce
+identical assembled outputs.
 """
 
 from __future__ import annotations

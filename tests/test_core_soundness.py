@@ -180,6 +180,9 @@ def test_layer_envelope_covers_observed_layerwise_error(
     amplitude = 10.0**log_noise
     noise = rng.uniform(-amplitude, amplitude, x.shape).astype(np.float32)
 
+    with recorder.capture():
+        trained_spectral_mlp(x)
+        quantized(x + noise)
     record = recorder.audit(x, x + noise)
     assert record.layerwise and len(record.layers) == 3
     for layer in record.layers:

@@ -102,6 +102,17 @@ def test_describe_model(trained_spectral_mlp):
     assert len(text.splitlines()) == 5  # header + 3 layers + totals
 
 
+def test_describe_model_prints_the_analyzer_sigma(tiny_mlp):
+    """The sigma column is the one the error-flow analyzer uses."""
+    from repro.core import ErrorFlowAnalyzer
+    from repro.reporting import describe_model
+
+    rows = describe_model(tiny_mlp).splitlines()[1:-1]
+    printed = [float(row.split()[-3]) for row in rows]
+    expected = ErrorFlowAnalyzer(tiny_mlp).layer_sigmas()
+    assert printed == [float(f"{sigma:.3f}") for sigma in expected]
+
+
 def test_describe_analysis(trained_spectral_mlp):
     from repro.core import ErrorFlowAnalyzer
     from repro.reporting import describe_analysis

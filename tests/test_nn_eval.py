@@ -138,6 +138,56 @@ def test_spectral_eval_weight_recomputed_after_alpha_assignment(rng):
     assert np.allclose(after - layer.bias.data, 2.0 * before, rtol=1e-5)
 
 
+def _spectral_layer(kind, rng):
+    """A spectral layer, the parameter its sigma is taken over, and an input."""
+    if kind == "linear":
+        layer = SpectralLinear(6, 5, rng=rng)
+        return layer, layer.raw_weight, rng.standard_normal((4, 6)).astype(np.float32)
+    layer = SpectralConv2d(2, 3, 3, padding=1, rng=rng)
+    return layer, layer.weight, rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_spectral_eval_cache_follows_bump_version(rng, kind):
+    """The documented in-place write + ``bump_version()`` must refresh the
+    converged sigma: the eval forward and ``effective_weight()`` equal a
+    fresh layer's with the same state."""
+    layer, param, x = _spectral_layer(kind, rng)
+    layer.eval()
+    layer(x)  # fills the eval cache
+    param.data[0] *= 3.0  # in place: the setter does not see it
+    param.bump_version()
+    fresh, __, __ = _spectral_layer(kind, np.random.default_rng(0))
+    fresh.load_state_dict(layer.state_dict())
+    fresh.eval()
+    assert np.array_equal(layer(x), fresh(x))
+    assert np.array_equal(layer.effective_weight(), fresh.effective_weight())
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_effective_weight_shares_the_eval_sigma(rng, kind, monkeypatch):
+    """One power iteration per weight version serves the eval forward and
+    every ``effective_weight()`` call."""
+    from repro.nn import spectral
+
+    layer, param, x = _spectral_layer(kind, rng)
+    layer.eval()
+    calls = []
+    real = spectral.spectral_norm
+    monkeypatch.setattr(
+        spectral, "spectral_norm", lambda m, **kw: calls.append(1) or real(m, **kw)
+    )
+    first = layer(x)
+    assert np.array_equal(layer(x), first)
+    layer.effective_weight()
+    layer.effective_weight()
+    assert len(calls) == 1
+    param.data = param.data * 2.0
+    layer.effective_weight()
+    layer(x)
+    assert len(calls) == 2
+
+
 ACTIVATION_NAMES = ["relu", "leaky_relu", "prelu", "tanh", "sigmoid", "gelu"]
 
 

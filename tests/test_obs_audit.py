@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.compress import SZCompressor
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
-from repro.exceptions import IntegrityError, ShapeError
+from repro.exceptions import ConfigurationError, IntegrityError, ShapeError
 from repro.nn import Identity, Linear, ReLU, Sequential, Tanh
 from repro.obs.audit import (
     NULL_AUDITOR,
@@ -114,6 +114,9 @@ def test_layerwise_observed_never_exceeds_envelope(trained_spectral_mlp, name):
     blob = codec.compress(clean, 1e-3)
     perturbed = codec.decompress(blob)
 
+    with recorder.capture():
+        trained_spectral_mlp(clean)
+        quantized(perturbed)
     record = recorder.audit(clean, perturbed)
     assert record.layerwise
     assert len(record.layers) == 3
@@ -143,6 +146,9 @@ def test_recorder_detects_tampered_model(trained_spectral_mlp):
     recorder = LayerwiseErrorRecorder(trained_spectral_mlp, quantized)
     rng = np.random.default_rng(5)
     clean = rng.uniform(-1, 1, (32, 5)).astype(np.float32)
+    with recorder.capture():
+        trained_spectral_mlp(clean)
+        quantized(clean)
     record = recorder.audit(clean, clean)
     assert record.verdict == VERDICT_VIOLATION
     assert record.violations
@@ -170,6 +176,9 @@ def test_recorder_falls_back_to_qoi_for_residual_models(rng):
     recorder = LayerwiseErrorRecorder(model, quantized, quant_safety=2.0)
     assert not recorder.supports_layerwise()
     x = rng.uniform(-1, 1, (8, 6)).astype(np.float32)
+    with recorder.capture():
+        model(x)
+        quantized(x)
     record = recorder.audit(x, x)
     assert not record.layerwise
     assert record.layers == []
@@ -387,7 +396,7 @@ def test_record_run_emits_metrics(tmp_path):
         assert metrics.value(
             "audit_tightness_ratio", fmt="fp16", codec="sz"
         ) == pytest.approx(2.0)
-        assert metrics.histogram("audit_layer_tightness").count == 2
+        assert metrics.histogram("audit_layer_tightness", layer="0").count == 2
     assert auditor.violation_count == 1
 
 
@@ -437,6 +446,80 @@ def test_pipeline_audit_records_run(trained_spectral_mlp, rng, tmp_path):
     assert payload["qoi_tightness"] <= 1.0 + 1e-6
     # persisted and identical
     assert RunRegistry(str(path)).get("run-0001") == record.to_dict()
+
+
+def test_pipeline_audit_layer_tightness_one_series_per_layer(
+    trained_spectral_mlp, rng
+):
+    """``audit_layer_tightness{layer=}``: one series per audited layer,
+    labelled with the layer name, one observation each per run."""
+    pipeline = _pipeline(trained_spectral_mlp)
+    with obs.capture() as (__, metrics), obs.audit_capture() as auditor:
+        pipeline.execute(_fields(rng))
+        rows = [
+            row
+            for row in metrics.to_json()["metrics"]
+            if row["name"] == "audit_layer_tightness"
+        ]
+    names = [layer.name for layer in auditor.records[0].layers]
+    assert len(names) == 3
+    assert sorted(row["labels"]["layer"] for row in rows) == sorted(names)
+    assert all(row["count"] == 1 for row in rows)
+
+
+def _residual_model(rng):
+    from repro.nn.residual import ResidualBlock
+
+    model = Sequential(
+        Linear(5, 6, rng=rng),
+        ReLU(),
+        ResidualBlock(Sequential(Linear(6, 6, rng=rng), Tanh())),
+        Linear(6, 2, rng=rng),
+        Identity(),
+    )
+    return model.eval()
+
+
+@pytest.mark.parametrize("kind", ["layerwise", "qoi-only"])
+def test_audited_execute_runs_each_model_once(
+    trained_spectral_mlp, rng, monkeypatch, kind
+):
+    """The audit scores the forwards the pipeline ran: an audited execute
+    calls the clean and the quantized model exactly once each."""
+    if kind == "layerwise":
+        model = trained_spectral_mlp
+        analyzer = ErrorFlowAnalyzer(model)
+    else:
+        model = _residual_model(rng)
+        analyzer = ErrorFlowAnalyzer(model, quant_safety=2.0)
+    plan = TolerancePlanner(analyzer).plan(1e-2, norm="linf")
+    pipeline = InferencePipeline(model, SZCompressor(), plan)
+    calls = []
+    forward = Sequential.forward
+
+    def spy(self, x):
+        calls.append(self)
+        return forward(self, x)
+
+    monkeypatch.setattr(Sequential, "forward", spy)
+    with obs.audit_capture(quant_safety=2.0) as auditor:
+        pipeline.execute(_fields(rng))
+    assert len(auditor.records) == 1
+    assert auditor.records[0].layerwise == (kind == "layerwise")
+    assert sum(c is model for c in calls) == 1
+    assert sum(c is pipeline.quantized.model for c in calls) == 1
+
+
+def test_recorder_audit_needs_captured_forwards(trained_spectral_mlp, rng):
+    quantized = quantize_model(trained_spectral_mlp, FP16)
+    recorder = LayerwiseErrorRecorder(trained_spectral_mlp, quantized)
+    x = rng.uniform(-1, 1, (8, 5)).astype(np.float32)
+    with pytest.raises(ConfigurationError):
+        recorder.audit(x, x)
+    with recorder.capture():
+        trained_spectral_mlp(x)  # the quantized forward is missing
+    with pytest.raises(ConfigurationError):
+        recorder.audit(x, x)
 
 
 def test_pipeline_audit_chunked_one_record_per_chunk(

@@ -6,7 +6,9 @@ import pytest
 from repro import obs
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.planner import TolerancePlanner
-from repro.nn import SGD, Linear, Sequential, Tanh
+from repro.compress import SZCompressor
+from repro.core.pipeline import InferencePipeline
+from repro.nn import SGD, Linear, Sequential, SpectralLinear, Tanh
 from repro.nn.spectral import spectral_norm
 from repro.perf.cache import (
     Memo,
@@ -162,24 +164,53 @@ def test_optimizer_step_bumps_versions(rng):
     assert model.weight_version() > v0
 
 
-def test_planner_sweep_one_power_iteration_per_layer_per_version(rng):
-    """The ISSUE 4 acceptance check: a full format x fraction sweep runs
-    exactly one power-iteration pass per layer per weight version."""
-    model = _plain_mlp(rng)
+def _spectral_mlp(rng):
+    return Sequential(
+        SpectralLinear(6, 16, rng=rng), Tanh(), SpectralLinear(16, 16, rng=rng), Tanh(),
+        SpectralLinear(16, 3, rng=rng),
+    )
+
+
+def _check_one_power_iteration_per_layer_per_version(build, rng, monkeypatch):
+    """A full format x fraction sweep, a pipeline per plan and an audited
+    execute of each run exactly one power-iteration pass per layer per
+    weight version, whether sigma comes from the content memo (plain
+    layers) or the layer's converged-sigma cache (PSN layers)."""
+    from repro.nn import conv, linear, spectral
+
+    model = build(rng)
     model.eval()
     n_layers = 3
+    calls = []
+    real = spectral.spectral_norm
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    for module in (spectral, linear, conv):
+        monkeypatch.setattr(module, "spectral_norm", spy)
     memo = get_memo("spectral_norm")
-    miss0, hit0 = memo.misses, memo.hits  # totals persist across tests
+    hit0 = memo.hits  # totals persist across tests
 
     analyzer = ErrorFlowAnalyzer(model)
     planner = TolerancePlanner(analyzer)
-    for fraction in (0.2, 0.4, 0.6, 0.8):
+    plans = [
         planner.plan(1e-2, norm="linf", quant_fraction=fraction)
+        for fraction in (0.2, 0.4, 0.6, 0.8)
+    ]
     for name in ("tf32", "fp16", "bf16", "int8"):
         analyzer.quantization_bound(STANDARD_FORMATS[name])
     # one pass per layer; everything downstream reuses it
-    assert memo.misses - miss0 == n_layers
+    assert len(calls) == n_layers
     assert memo.hits == hit0  # analyzer memoizes bounds; no re-extraction
+
+    fields = rng.uniform(-1, 1, (6, 8, 4)).astype(np.float32)
+    with obs.audit_capture() as auditor:
+        for plan in plans:
+            InferencePipeline(model, SZCompressor(), plan).execute(fields)
+    assert len(auditor.records) == len(plans)
+    assert len(calls) == n_layers
 
     # A weight update starts a new version: exactly one more pass per layer.
     x = rng.standard_normal((8, 6)).astype(np.float32)
@@ -189,9 +220,19 @@ def test_planner_sweep_one_power_iteration_per_layer_per_version(rng):
     SGD(list(model.parameters()), lr=0.05).step()
     model.eval()
     analyzer.quantization_bound(STANDARD_FORMATS["fp16"])
-    assert memo.misses - miss0 == 2 * n_layers
-    planner.plan(1e-2, norm="linf", quant_fraction=0.5)
-    assert memo.misses - miss0 == 2 * n_layers
+    assert len(calls) == 2 * n_layers
+    plan = planner.plan(1e-2, norm="linf", quant_fraction=0.5)
+    with obs.audit_capture():
+        InferencePipeline(model, SZCompressor(), plan).execute(fields)
+    assert len(calls) == 2 * n_layers
+
+
+def test_planner_sweep_one_power_iteration_per_layer_per_version(rng, monkeypatch):
+    _check_one_power_iteration_per_layer_per_version(_plain_mlp, rng, monkeypatch)
+
+
+def test_psn_one_power_iteration_per_layer_per_version(rng, monkeypatch):
+    _check_one_power_iteration_per_layer_per_version(_spectral_mlp, rng, monkeypatch)
 
 
 def test_analyzer_bounds_refresh_after_step(rng):
